@@ -2,14 +2,15 @@
 
 Elements are int64 coefficient vectors of length k (constant term first).
 Multiplication is one convolution plus a precomputed fold of the overflow
-degrees k..2k-2 back into the basis, so products cost O(k^2) C-side work;
-k reaches 180 for the largest reduction contexts used in the test corpus.
+degrees k..2k-2 back into the basis, so products cost O(k^2) C-side work.
 
-Also provides what reduction contexts need on top of the field itself:
-a deterministic irreducible-polynomial search, roots of unity of exact
-order, minimal polynomials over F_p, and the enumeration of all
-irreducible factors of a cyclotomic polynomial mod p via Frobenius orbits
-(no dense factorization of Phi_m ever happens).
+Also provides what reduction contexts need on top of the field itself: a
+deterministic irreducible-polynomial search (Ben-Or's test) and roots of
+unity of exact order, which together fix the one maximal ideal the block
+computation reduces modulo.  The enumeration of all irreducible factors of
+a cyclotomic polynomial mod p via Frobenius orbits (no dense factorization
+of Phi_m ever happens) serves only as the oracle that checks the block
+partition does not depend on the ideal chosen.
 """
 
 from __future__ import annotations
@@ -176,35 +177,11 @@ def _small_factor_screen(p: int, f: np.ndarray) -> bool:
     return False
 
 
-# Seed cache of search results for the degrees the bundled corpus hits; each
-# entry is the sparse form of what the counter-order scan below returns (the
-# test suite re-derives a sample from scratch).
-_IRREDUCIBLE_SEEDS = {
-    (2, 180): ((0, 1), (3, 1)),
-    (3, 180): ((0, 1), (1, 2), (2, 2), (3, 1), (4, 1)),
-    (5, 90): ((0, 2), (2, 4)),
-    (2, 60): ((0, 1), (1, 1)),
-    (3, 60): ((0, 2), (2, 1)),
-    (7, 60): ((0, 1), (1, 1), (2, 3)),
-    (5, 30): ((0, 3), (1, 1), (3, 1)),
-    (7, 30): ((0, 5), (1, 1), (2, 1)),
-    (11, 30): ((0, 6), (1, 4), (2, 1)),
-    (19, 30): ((0, 13), (1, 1), (2, 1)),
-}
-
-
 @lru_cache(maxsize=None)
 def find_irreducible(p: int, k: int) -> tuple[int, ...]:
     """First monic irreducible of degree k over F_p in counter order."""
     if k == 1:
         return (0, 1)
-    seed = _IRREDUCIBLE_SEEDS.get((p, k))
-    if seed is not None:
-        coeffs = [0] * (k + 1)
-        coeffs[k] = 1
-        for i, c in seed:
-            coeffs[i] = c
-        return tuple(coeffs)
     counter = 1
     while True:
         if counter % p:
@@ -306,7 +283,8 @@ def cyclotomic_factors_mod_p(m: int, p: int) -> tuple[tuple[int, ...], ...]:
     dividing m, sorted by their coefficient tuples.  Every factor has degree
     k = ord_m(p); the factor with root zeta^s corresponds to the orbit of s
     under multiplication by p on (Z/m)*, so the whole factorization is a
-    batch of minimal-polynomial computations, never a dense factorization."""
+    batch of minimal-polynomial computations, never a dense factorization.
+    Used only to enumerate every maximal ideal for the independence checks."""
     if m == 1:
         return (((-1) % p, 1),)
     if m % p == 0:

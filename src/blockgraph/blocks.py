@@ -2,17 +2,20 @@
 
 Two irreducible characters lie in the same p-block exactly when their
 central characters omega(K) = |K| chi(g_K) / chi(1) agree on every class
-after reduction modulo a maximal ideal over p.  The reduction context
-(one ideal, fixed by an irreducible factor of Phi_{m'} mod p) comes from
-the cyclotomic module; rows with equal reduction fingerprints form one
-block.  The partition provably does not depend on the factor chosen, and
-the test suite checks that exhaustively over every factor.
+after reduction modulo a maximal ideal over p.  The reduction context is
+built at M, the lcm of the conductors of the table's values: one ideal
+of Z[zeta_M], fixed by _gf.find_irreducible and a primitive M'-th root of
+unity in the residue field.  Rows with equal reduction fingerprints form
+one block.  The partition provably does not depend on the ideal chosen;
+the test suite checks that against every ideal at the group exponent,
+enumerated by reduction_contexts, which serves only as that oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 
 from ._numtheory import p_adic_valuation
 from .chartab import CharacterTable
@@ -70,7 +73,8 @@ def central_character(table: CharacterTable, row: int) -> CentralCharacter:
 
 @lru_cache(maxsize=256)
 def _partition_cached(table: CharacterTable, p: int) -> BlockPartition:
-    return _partition(table, p, make_reduction_context(table.exponent, p))
+    conductor = lcm(*(value.conductor for row in table.irr for value in row))
+    return _partition(table, p, make_reduction_context(conductor, p))
 
 
 def _partition(table: CharacterTable, p: int, ctx: ReductionContext) -> BlockPartition:

@@ -85,7 +85,7 @@ def _graph_document(table, g) -> dict:
 
 def _cmd_graph(args) -> int:
     table = _load(args.table)
-    g = build_block_graph(table, max_workers=args.jobs)
+    g = build_block_graph(table)
     if args.dot:
         sys.stdout.write(export_dot(g))
     elif args.json_out:
@@ -101,7 +101,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_psolv(args) -> int:
     table = _load(args.table)
-    g = build_block_graph(table, max_workers=args.jobs)
+    g = build_block_graph(table)
     triangles = triangles_containing(g, args.prime)
     if triangles:
         statement = (
@@ -244,9 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if prime_flag:
             cmd.add_argument("-p", "--prime", type=int, required=True)
         cmd.add_argument("--json", dest="json_out", action="store_true", help="emit JSON")
-        cmd.add_argument(
-            "--jobs", type=int, default=4, help="bounded worker pool for per-prime blocks"
-        )
         cmd.set_defaults(func=func)
         return cmd
 

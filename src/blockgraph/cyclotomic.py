@@ -9,9 +9,13 @@ form, so no arithmetic ever divides by a large Phi_n.
 
 The module also provides the reduction maps into finite fields that the
 block criterion consumes: a ReductionContext fixes a maximal ideal over p
-in Z[zeta_m] by choosing an irreducible factor f of Phi_{m'} mod p
-(m' the p'-part of m) and realizes the residue field as F_p[y]/(f) with
-the class of y as the distinguished primitive m'-th root of unity.
+in Z[zeta_m] by a residue field F_p[y]/(f) together with the image
+zeta_bar of zeta_{m'} (m' the p'-part of m), a primitive m'-th root of
+unity there.  make_reduction_context builds the one ideal the block
+computation uses, at the conductor of the table's values, from
+_gf.find_irreducible and a root of unity; reduction_contexts enumerates
+every ideal (one per irreducible factor of Phi_{m'} mod p, zeta_bar the
+class of y) and serves only as the oracle for the independence checks.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from math import gcd
 import numpy as np
 
 from . import _gf, _zeta
-from ._numtheory import coprime_part, euler_phi, is_prime
+from ._numtheory import coprime_part, euler_phi, is_prime, multiplicative_order
 from .errors import ConductorMismatch, CycParseError, NotAlgebraicInteger
 from .intpoly import IntPolynomial, cyclotomic_polynomial
 
@@ -311,18 +315,18 @@ class FiniteFieldElt:
 
 
 class ReductionContext:
-    """Fixes the homomorphism Z[zeta_m] -> F_p[y]/(f) used to compare
-    central characters mod p.  f is an irreducible factor of Phi_{m'} mod p,
-    m' the p'-part of m, and zeta_{m'} maps to the class of y."""
+    """Fixes the homomorphism Z[zeta_m] -> field = F_p[y]/(f) used to compare
+    central characters mod p; zeta_{m'}, m' the p'-part of m, maps to
+    zeta_bar, which must have exact order m' in the field."""
 
-    def __init__(self, m: int, p: int, modulus: tuple[int, ...]):
+    def __init__(self, m: int, p: int, field: _gf.GF, zeta_bar: np.ndarray):
         self.p = p
         self.m = m
         self.m_prime = coprime_part(m, p)
-        self.modulus = modulus
-        self.degree = len(modulus) - 1
-        self.field = _gf.GF(p, np.asarray(modulus, dtype=np.int64))
-        self.zeta_bar = tuple(int(c) for c in self.field.gen())
+        self.field = field
+        self.modulus = tuple(int(c) for c in field.modulus)
+        self.degree = field.k
+        self.zeta_bar = tuple(int(c) for c in zeta_bar)
         self._power_tables: dict[int, np.ndarray] = {}
 
     def __repr__(self):
@@ -338,7 +342,7 @@ class ReductionContext:
                 exponent = 0
             else:
                 exponent = (self.m_prime // d_prime) * pow(b % d_prime, -1, d_prime) % self.m_prime
-            base = self.field.pow(self.field.gen(), exponent)
+            base = self.field.pow(np.asarray(self.zeta_bar, dtype=np.int64), exponent)
             phi_d = euler_phi(d)
             rows = np.zeros((phi_d, self.degree), dtype=np.int64)
             acc = self.field.one()
@@ -351,23 +355,27 @@ class ReductionContext:
 
 
 def make_reduction_context(m: int, p: int) -> ReductionContext:
-    """Context for the lexicographically smallest irreducible factor of
-    Phi_{m'} mod p (tested elsewhere: the block partition does not depend
-    on which factor is chosen)."""
+    """Context for one maximal ideal over p in Z[zeta_m]: the residue field
+    is F_p[y]/(f), f = find_irreducible(p, k) with k = ord_{m'}(p), and
+    zeta_bar is its first primitive m'-th root of unity in counter order.
+    The block partition does not depend on the ideal (tested against every
+    ideal through reduction_contexts)."""
     if m < 1:
-        raise ValueError("group exponent must be positive")
+        raise ValueError("conductor must be positive")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    factors = _gf.cyclotomic_factors_mod_p(coprime_part(m, p), p)
-    return ReductionContext(m, p, factors[0])
+    m_prime = coprime_part(m, p)
+    field = _gf.GF(p, _gf.find_irreducible(p, multiplicative_order(p, m_prime)))
+    return ReductionContext(m, p, field, _gf._root_of_unity(field, m_prime))
 
 
 def reduction_contexts(m: int, p: int) -> list[ReductionContext]:
-    """One context per irreducible factor of Phi_{m'} mod p."""
+    """One context per irreducible factor f of Phi_{m'} mod p, with zeta_bar
+    the class of y; the oracle for the ideal-independence checks."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    factors = _gf.cyclotomic_factors_mod_p(coprime_part(m, p), p)
-    return [ReductionContext(m, p, f) for f in factors]
+    fields = [_gf.GF(p, f) for f in _gf.cyclotomic_factors_mod_p(coprime_part(m, p), p)]
+    return [ReductionContext(m, p, field, field.gen()) for field in fields]
 
 
 def reduce_cyclotomic(a: Cyclotomic, ctx: ReductionContext) -> FiniteFieldElt:

@@ -8,7 +8,6 @@ both principal blocks.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .blocks import principal_block_rows
@@ -43,15 +42,10 @@ class BlockGraph:
         return tuple(q for q in self.vertices if q != p and self.has_edge(p, q))
 
 
-def build_block_graph(table: CharacterTable, max_workers: int | None = None) -> BlockGraph:
-    """Block graph of the table's group.  Per-prime block partitions are
-    independent; max_workers > 1 computes them in a bounded thread pool."""
+def build_block_graph(table: CharacterTable) -> BlockGraph:
+    """Block graph of the table's group."""
     primes = prime_divisors(table)
-    if max_workers and max_workers > 1 and len(primes) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = dict(zip(primes, pool.map(lambda p: principal_block_rows(table, p), primes)))
-    else:
-        rows = {p: principal_block_rows(table, p) for p in primes}
+    rows = {p: principal_block_rows(table, p) for p in primes}
 
     edges = []
     witnesses = []

@@ -304,13 +304,18 @@ class Factored:
     factors: dict[int, int]
 
 
-def group_order(group: GenericLieGroup) -> Factored:
-    """|S| with its prime factorization."""
+def _order_value(group: GenericLieGroup) -> int:
+    """|S|: the simply-connected order divided by the center index."""
     sc = _order_simply_connected(group.family, group.rank, group.q)
     d = center_index(group.family, group.rank, group.q)
     if sc % d:
         raise ArithmeticError("center index does not divide the group order")
-    value = sc // d
+    return sc // d
+
+
+def group_order(group: GenericLieGroup) -> Factored:
+    """|S| with its prime factorization."""
+    value = _order_value(group)
     return Factored(value, factorize(value))
 
 
@@ -401,7 +406,7 @@ def steinberg_in_principal_block(group: GenericLieGroup, ell: int) -> bool:
         raise ValueError(f"{ell} is not prime")
     if ell == group.p:
         raise DefiningPrime(f"ell = {ell} is the defining characteristic")
-    if group_order(group).value % ell:
+    if _order_value(group) % ell:
         raise NotADivisor(f"{ell} does not divide |{group}|")
     return is_regular(group.family, group.rank, e_of(ell, group.q))
 

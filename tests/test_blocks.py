@@ -161,4 +161,4 @@ class TestIdealIndependence:
                     block_partition(table, p, ctx).blocks
                     for ctx in reduction_contexts(table.exponent, p)
                 }
-                assert len(partitions) == 1, (name, p)
+                assert partitions == {block_partition(table, p).blocks}, (name, p)

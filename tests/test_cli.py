@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import blockgraph
 from blockgraph.cli import run
 from blockgraph.corpus import corpus_path
 
@@ -114,6 +119,19 @@ class TestLieTypeCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["order"] == 29120 and doc["factorization"] == {"2": 6, "5": 1, "7": 1, "13": 1}
+
+    def test_steinberg_large_order_is_fast(self):
+        # |A20(65537)| has over 2000 digits; the verdict needs only |G| mod ell
+        src = str(Path(blockgraph.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "blockgraph", "steinberg", "--family", "A",
+             "--rank", "20", "--q", "65537", "--ell", "3"],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["ell"] == 3
 
     def test_descriptor_error_exit_3(self, capsys):
         code, _, err = invoke(capsys, "order", "--family", "A", "--rank", "1", "--q", "2")

@@ -232,10 +232,21 @@ class TestReduction:
         contexts = reduction_contexts(15, 2)
         assert sorted(set(quartic_factors)) == [ctx.modulus for ctx in contexts]
         ctx = make_reduction_context(15, 2)
-        assert ctx.modulus == min(quartic_factors)
+        field = ctx.field
+        zeta_bar = np.array(ctx.zeta_bar)
+        assert field.equal(field.pow(zeta_bar, 15), field.one())
+        assert not any(field.equal(field.pow(zeta_bar, 15 // q), field.one()) for q in (3, 5))
+
+        def value_at(f, z):
+            acc = field.zero()
+            for c in reversed(f):
+                acc = (field.mul(acc, z) + c * field.one()) % 2
+            return acc
+
+        vanishing = [f for f in set(quartic_factors) if not value_at(f, zeta_bar).any()]
+        assert len(vanishing) == 1
         # golden ratio: image of E(5)+E(5)^4 satisfies z^2 + z - 1 = 0 mod 2
         z = np.array(reduce_cyclotomic(zeta(5) + zeta(5, 4), ctx).coeffs)
-        field = ctx.field
         assert np.array_equal(field.mul(z, z), (z + field.one()) % 2)
 
     def test_rational_reduction(self):

@@ -35,10 +35,6 @@ class TestBuild:
         g = build_block_graph(corpus("A5"))
         assert g.vertices == (2, 3, 5) and is_complete(g)
 
-    def test_parallel_matches_serial(self, corpus):
-        table = corpus("L2_11")
-        assert build_block_graph(table, max_workers=3) == build_block_graph(table)
-
     def test_witnesses_lie_in_both_principal_blocks(self, corpus):
         for name in ("A5", "S4", "L2_7", "Sz8"):
             table = corpus(name)
