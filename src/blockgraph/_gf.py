@@ -5,12 +5,13 @@ Multiplication is one convolution plus a precomputed fold of the overflow
 degrees k..2k-2 back into the basis, so products cost O(k^2) C-side work.
 
 Also provides what reduction contexts need on top of the field itself: a
-deterministic irreducible-polynomial search (Ben-Or's test) and roots of
-unity of exact order, which together fix the one maximal ideal the block
-computation reduces modulo.  The enumeration of all irreducible factors of
-a cyclotomic polynomial mod p via Frobenius orbits (no dense factorization
-of Phi_m ever happens) serves only as the oracle that checks the block
-partition does not depend on the ideal chosen.
+deterministic irreducible-polynomial search (Rabin's test with a Frobenius
+matrix) and roots of unity of exact order, which together fix the one
+maximal ideal the block computation reduces modulo.  The enumeration of
+all irreducible factors of a cyclotomic polynomial mod p via Frobenius
+orbits (no dense factorization of Phi_m ever happens) serves only as the
+oracle that checks the block partition does not depend on the ideal
+chosen.
 """
 
 from __future__ import annotations
@@ -121,10 +122,13 @@ def _int_to_poly(p: int, k: int, counter: int) -> np.ndarray:
     return coeffs
 
 
-def is_irreducible(p: int, f, no_factor_below: int = 1) -> bool:
-    """Ben-Or test: f (monic, degree k) has no factor of degree <= k/2 and
-    y^(p^k) = y in the quotient.  Factor degrees < no_factor_below are taken
-    as already excluded by the caller."""
+def is_irreducible(p: int, f) -> bool:
+    """Rabin's test with a Frobenius matrix: f (monic, degree k) is
+    irreducible iff y^(p^k) = y mod f and gcd(y^(p^(k/r)) - y, f) = 1 for
+    every prime r dividing k.  Frobenius a -> a^p is F_p-linear on
+    F_p[y]/(f), so one k x k matrix (columns y^(pj) mod f) turns each
+    p-th power into a matrix-vector product; the gcds run only for the
+    rare candidate that passes the first condition."""
     f = np.asarray(f, dtype=np.int64) % p
     k = len(f) - 1
     if k == 1:
@@ -132,19 +136,26 @@ def is_irreducible(p: int, f, no_factor_below: int = 1) -> bool:
     if f[0] == 0:
         return False
     ring = GF(p, f)
-    power = ring.pow(ring.gen(), p**no_factor_below)
-    for i in range(no_factor_below, k // 2 + 1):
-        diff = power.copy()
-        diff[1] = (diff[1] - 1) % p
-        if _poly_gcd(p, diff, f).size > 1:
-            return False
-        power = ring.pow(power, p)
-    for _ in range(k // 2 + 1, k):
-        power = ring.pow(power, p)
-    return ring.equal(power, ring.gen())
+    y = ring.gen()
+    step = multiplication_matrix(ring, ring.pow(y, p))
+    frobenius = np.empty((k, k), dtype=np.int64)
+    column = ring.one()
+    for j in range(k):
+        frobenius[:, j] = column
+        column = step @ column % p
+    checkpoints = {k // r for r in factorize(k)}
+    kept = []
+    power = y
+    for i in range(1, k + 1):
+        power = frobenius @ power % p
+        if i in checkpoints:
+            kept.append(power)
+    if not ring.equal(power, y):
+        return False
+    return all(_poly_gcd(p, power - y, f).size == 1 for power in kept)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _irreducible_quadratics(p: int) -> tuple[tuple[int, int], ...]:
     if p == 2:
         return ((1, 1),)
@@ -177,9 +188,14 @@ def _small_factor_screen(p: int, f: np.ndarray) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def find_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """First monic irreducible of degree k over F_p in counter order."""
+    """First monic irreducible of degree k over F_p in counter order.
+
+    Counter c stands for the monic polynomial whose lower coefficients are
+    the base-p digits of c (constant term first).  Candidates with a zero
+    constant term or a factor of degree <= 2 are screened out cheaply; for
+    k > 5 the survivors go through Rabin's test (`is_irreducible`)."""
     if k == 1:
         return (0, 1)
     counter = 1
@@ -187,7 +203,7 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
         if counter % p:
             f = _int_to_poly(p, k, counter)
             if not _small_factor_screen(p, f) and (
-                k <= 5 or is_irreducible(p, f, no_factor_below=3)
+                k <= 5 or is_irreducible(p, f)
             ):
                 return tuple(int(c) for c in f)
         counter += 1
@@ -217,14 +233,19 @@ def _element(field: GF, counter: int) -> np.ndarray:
 
 
 def _root_of_unity(field: GF, order: int) -> np.ndarray:
-    """Deterministic element of exact multiplicative order `order`."""
+    """Deterministic element of exact multiplicative order `order`: the
+    first counter whose element, raised to the cofactor, has that order.
+    Counters below p are the constants, whose powers lie in F_p* and so
+    have order dividing p - 1; when `order` does not divide p - 1 the scan
+    starts at p, which skips no candidate that could succeed."""
     group = field.p**field.k - 1
     if group % order:
         raise ValueError("order does not divide the group order")
     cofactor = group // order
     primes = list(factorize(order)) if order > 1 else []
     one = field.one()
-    for counter in range(1, field.p**field.k):
+    start = 1 if (field.p - 1) % order == 0 else field.p
+    for counter in range(start, field.p**field.k):
         z = field.pow(_element(field, counter), cofactor)
         if order == 1:
             return z
@@ -277,7 +298,7 @@ def _powers_of_zeta(field: GF, zeta: np.ndarray, exponents: list[int]) -> np.nda
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def cyclotomic_factors_mod_p(m: int, p: int) -> tuple[tuple[int, ...], ...]:
     """All (distinct) monic irreducible factors of Phi_m mod p, for p not
     dividing m, sorted by their coefficient tuples.  Every factor has degree
