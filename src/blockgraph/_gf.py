@@ -7,21 +7,18 @@ degrees k..2k-2 back into the basis, so products cost O(k^2) C-side work.
 Also provides what reduction contexts need on top of the field itself: a
 deterministic irreducible-polynomial search (Rabin's test with a Frobenius
 matrix) and roots of unity of exact order, which together fix the one
-maximal ideal the block computation reduces modulo.  The enumeration of
-all irreducible factors of a cyclotomic polynomial mod p via Frobenius
-orbits (no dense factorization of Phi_m ever happens) serves only as the
-oracle that checks the block partition does not depend on the ideal
-chosen.
+maximal ideal the block computation reduces modulo.  The other maximal
+ideals come from powers of that root in the same field, so no cyclotomic
+polynomial is ever factored.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
-from ._numtheory import factorize, multiplicative_order
+from ._numtheory import factorize
 
 
 def _trim(a: np.ndarray) -> np.ndarray:
@@ -84,13 +81,9 @@ class GF:
         return e
 
     def gen(self) -> np.ndarray:
-        """The class of y."""
+        """The class of y; needs k >= 2 (for k = 1, y is a constant)."""
         e = self.zero()
-        if self.k == 1:
-            # y is congruent to the negated constant term
-            e[0] = (-self.modulus[0]) % self.p
-        else:
-            e[1] = 1
+        e[1] = 1
         return e
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -254,96 +247,3 @@ def _root_of_unity(field: GF, order: int) -> np.ndarray:
         ):
             return z
     raise ArithmeticError("no element of the requested order")
-
-
-def _solve_many(p: int, systems: np.ndarray) -> np.ndarray:
-    """Solve a stack of augmented systems (R, n, n+1) over F_p at once."""
-    a = systems % p
-    r, n = a.shape[0], a.shape[1]
-    rows = np.arange(r)
-    for col in range(n):
-        residues = a[:, col:, col] % p
-        pivot = col + (residues != 0).argmax(axis=1)
-        swap = a[rows, pivot].copy()
-        a[rows, pivot] = a[rows, col]
-        a[rows, col] = swap
-        inv = np.array([pow(int(x % p), -1, p) for x in a[:, col, col]], dtype=np.int64)
-        a[:, col, col:] = a[:, col, col:] * inv[:, None] % p
-        if col + 1 < n:
-            factors = a[:, col + 1 :, col] % p
-            # deferred reduction keeps entries below n * p^2, safe in int64
-            a[:, col + 1 :, col:] -= factors[:, :, None] * a[:, None, col, col:]
-            if col % 16 == 15:
-                a[:, col + 1 :, col:] %= p
-    x = np.zeros((r, n), dtype=np.int64)
-    for col in range(n - 1, -1, -1):
-        dot = np.einsum("ri,ri->r", a[:, col, col + 1 : n], x[:, col + 1 :])
-        x[:, col] = (a[:, col, n] - dot) % p
-    return x
-
-
-def _powers_of_zeta(field: GF, zeta: np.ndarray, exponents: list[int]) -> np.ndarray:
-    """zeta^s for many s at once, via per-bit multiplication matrices."""
-    r = len(exponents)
-    out = np.zeros((r, field.k), dtype=np.int64)
-    out[:, 0] = 1
-    exps = np.array(exponents, dtype=np.int64)
-    power = zeta
-    for bit in range(int(exps.max()).bit_length()):
-        mask = (exps >> bit & 1).astype(bool)
-        if mask.any():
-            w = multiplication_matrix(field, power)
-            out[mask] = out[mask] @ w.T % field.p
-        power = field.mul(power, power)
-    return out
-
-
-@lru_cache(maxsize=128)
-def cyclotomic_factors_mod_p(m: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """All (distinct) monic irreducible factors of Phi_m mod p, for p not
-    dividing m, sorted by their coefficient tuples.  Every factor has degree
-    k = ord_m(p); the factor with root zeta^s corresponds to the orbit of s
-    under multiplication by p on (Z/m)*, so the whole factorization is a
-    batch of minimal-polynomial computations, never a dense factorization.
-    Used only to enumerate every maximal ideal for the independence checks."""
-    if m == 1:
-        return (((-1) % p, 1),)
-    if m % p == 0:
-        raise ValueError("p must not divide m")
-    k = multiplicative_order(p, m)
-    scaffold = GF(p, find_irreducible(p, k))
-    zeta = _root_of_unity(scaffold, m)
-
-    seen: set[int] = set()
-    reps = []
-    for s in range(1, m):
-        if s in seen or math.gcd(s, m) != 1:
-            continue
-        t = s
-        while t not in seen:
-            seen.add(t)
-            t = t * p % m
-        reps.append(s)
-
-    if k == 1:
-        roots = _powers_of_zeta(scaffold, zeta, reps)
-        factors = [((-int(z[0])) % p, 1) for z in roots]
-        factors.sort()
-        return tuple(factors)
-
-    zs = _powers_of_zeta(scaffold, zeta, reps)
-    r = len(reps)
-    ws = np.stack([multiplication_matrix(scaffold, zs[i]) for i in range(r)])
-    systems = np.zeros((r, k, k + 1), dtype=np.int64)
-    v = np.zeros((r, k), dtype=np.int64)
-    v[:, 0] = 1
-    for j in range(k):
-        systems[:, :, j] = v
-        v = np.einsum("rij,rj->ri", ws, v) % p
-    systems[:, :, k] = v
-    solutions = _solve_many(p, systems)
-    factors = [
-        tuple([(-int(c)) % p for c in row] + [1]) for row in solutions
-    ]
-    factors.sort()
-    return tuple(factors)

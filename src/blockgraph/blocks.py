@@ -7,8 +7,8 @@ built at M, the lcm of the conductors of the table's values: one ideal
 of Z[zeta_M], fixed by _gf.find_irreducible and a primitive M'-th root of
 unity in the residue field.  Rows with equal reduction fingerprints form
 one block.  The partition provably does not depend on the ideal chosen;
-the test suite checks that against every ideal at the group exponent,
-enumerated by reduction_contexts, which serves only as that oracle.
+the test suite checks that by running _partition under every ideal at the
+group exponent, as enumerated by cyclotomic.reduction_contexts.
 """
 
 from __future__ import annotations
@@ -94,15 +94,10 @@ def _partition(table: CharacterTable, p: int, ctx: ReductionContext) -> BlockPar
     return BlockPartition(p, blocks, principal_index, defects)
 
 
-def block_partition(
-    table: CharacterTable, p: int, ctx: ReductionContext | None = None
-) -> BlockPartition:
+def block_partition(table: CharacterTable, p: int) -> BlockPartition:
     """Partition of the rows into p-blocks.  p need not divide the group
-    order (then every block is a defect-0 singleton).  An explicit context
-    pins the maximal ideal, which only matters for the independence tests."""
-    if ctx is None:
-        return _partition_cached(table, p)
-    return _partition(table, p, ctx)
+    order (then every block is a defect-0 singleton)."""
+    return _partition_cached(table, p)
 
 
 def principal_block_rows(table: CharacterTable, p: int) -> frozenset[int]:

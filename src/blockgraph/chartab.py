@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
 from . import _zeta
 from ._numtheory import prime_divisors_of
@@ -73,13 +73,6 @@ class CharacterTable:
 
 def _value_key(v: Cyclotomic):
     return (v.conductor, v.coeffs)
-
-
-def _lcm(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
 
 
 def _as_value(entry) -> Cyclotomic:
@@ -173,7 +166,7 @@ def _canonicalize(name, order, classes, irr, provenance) -> CharacterTable:
     if not all(v == Cyclotomic(1, (1,)) for v in irr[0]):
         raise ValidationError(["trivial-character"])
 
-    exponent = _lcm(c.element_order for c in classes)
+    exponent = lcm(*(c.element_order for c in classes))
     return CharacterTable(
         name=name,
         group_order=order,
@@ -186,7 +179,7 @@ def _canonicalize(name, order, classes, irr, provenance) -> CharacterTable:
 
 def _sum_equals(terms, expected: int) -> bool:
     """Exact test of sum(scale * value) == expected over mixed conductors."""
-    big = _lcm(v.conductor for _, v in terms) if terms else 1
+    big = lcm(*(v.conductor for _, v in terms))
     acc: dict = {}
     for scale, v in terms:
         if scale == 0 or v.is_zero():

@@ -17,7 +17,7 @@ import sys
 from . import graph as graphmod
 from . import lietype
 from .blocks import block_partition
-from .chartab import parse_table, print_table, validate
+from .chartab import parse_table, print_table
 from .corpus import resolve_table_path
 from .errors import BlockgraphError, CycParseError, ValidationError
 from .graph import build_block_graph, export_dot, is_complete, triangles_containing
@@ -40,13 +40,13 @@ def _load(spec: str):
 def _cmd_validate(args) -> int:
     path = resolve_table_path(args.table)
     try:
-        table = parse_table(path.read_bytes())
+        parse_table(path.read_bytes())
     except ValidationError as exc:
         _emit({"table": str(path), "valid": False, "violations": exc.violations})
         return EXIT_VALIDATION
-    report = validate(table)
-    _emit({"table": str(path), "valid": not report, "violations": report})
-    return EXIT_VALIDATION if report else EXIT_OK
+    # parse_table has run the full validator, so the table is valid here
+    _emit({"table": str(path), "valid": True, "violations": []})
+    return EXIT_OK
 
 
 def _cmd_blocks(args) -> int:

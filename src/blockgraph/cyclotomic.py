@@ -13,16 +13,17 @@ in Z[zeta_m] by a residue field F_p[y]/(f) together with the image
 zeta_bar of zeta_{m'} (m' the p'-part of m), a primitive m'-th root of
 unity there.  make_reduction_context builds the one ideal the block
 computation uses, at the conductor of the table's values, from
-_gf.find_irreducible and a root of unity; reduction_contexts enumerates
-every ideal (one per irreducible factor of Phi_{m'} mod p, zeta_bar the
-class of y) and serves only as the oracle for the independence checks.
+_gf.find_irreducible and a root of unity.  reduction_contexts enumerates
+every ideal as a Galois twist of that one, zeta_bar -> zeta_bar^s with one
+s per orbit of multiplication by p on (Z/m')*, in the same field, and
+serves only as the oracle for the independence checks.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -75,7 +76,7 @@ class Cyclotomic:
 
     def __add__(self, other):
         other = _coerce(other)
-        n = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
+        n = lcm(self.conductor, other.conductor)
         merged = _scaled_monomials(self, n)
         for e, c in _scaled_monomials(other, n).items():
             merged[e] = merged.get(e, 0) + c
@@ -101,7 +102,7 @@ class Cyclotomic:
             return Cyclotomic(self.conductor, tuple(c * r for c in self.coeffs))
         if self.is_rational():
             return other * self
-        n = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
+        n = lcm(self.conductor, other.conductor)
         a = _zeta.normalize_monomials(n, _scaled_monomials(self, n))
         b = _zeta.normalize_monomials(n, _scaled_monomials(other, n))
         n0, tensor = _zeta.descend(n, _zeta.mul(n, a, b))
@@ -289,14 +290,12 @@ def parse_cyclotomic(text: str) -> Cyclotomic:
     if pos != len(tokens):
         raise CycParseError(f"trailing tokens in {text!r}")
 
-    lcm = 1
-    for n, _, _ in terms:
-        lcm = lcm * n // gcd(lcm, n)
+    common = lcm(*(n for n, _, _ in terms))
     monomials: dict[int, int] = {}
     for n, e, c in terms:
-        key = e * (lcm // n) % lcm
+        key = e * (common // n) % common
         monomials[key] = monomials.get(key, 0) + c
-    return _build(lcm, monomials)
+    return _build(common, monomials)
 
 
 # -- reduction modulo a maximal ideal over p ---------------------------------
@@ -309,9 +308,6 @@ class FiniteFieldElt:
     p: int
     degree: int
     coeffs: tuple[int, ...]
-
-    def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
 
 
 class ReductionContext:
@@ -370,12 +366,26 @@ def make_reduction_context(m: int, p: int) -> ReductionContext:
 
 
 def reduction_contexts(m: int, p: int) -> list[ReductionContext]:
-    """One context per irreducible factor f of Phi_{m'} mod p, with zeta_bar
-    the class of y; the oracle for the ideal-independence checks."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    fields = [_gf.GF(p, f) for f in _gf.cyclotomic_factors_mod_p(coprime_part(m, p), p)]
-    return [ReductionContext(m, p, field, field.gen()) for field in fields]
+    """Every maximal ideal over p in Z[zeta_m], one context each; the
+    oracle for the ideal-independence checks.  The homomorphisms into the
+    residue field of make_reduction_context are zeta_{m'} -> zeta_bar^s for
+    the units s mod m', and two share a kernel exactly when their s differ
+    by a power of p (Frobenius), so one s per orbit gives each ideal once.
+    For m' = 1 the one unit is s = 0."""
+    base = make_reduction_context(m, p)
+    field, m_prime = base.field, base.m_prime
+    zeta_bar = np.asarray(base.zeta_bar, dtype=np.int64)
+    seen: set[int] = set()
+    contexts = []
+    for s in range(m_prime):
+        if s in seen or gcd(s, m_prime) != 1:
+            continue
+        t = s
+        while t not in seen:
+            seen.add(t)
+            t = t * p % m_prime
+        contexts.append(ReductionContext(m, p, field, field.pow(zeta_bar, s)))
+    return contexts
 
 
 def reduce_cyclotomic(a: Cyclotomic, ctx: ReductionContext) -> FiniteFieldElt:

@@ -19,10 +19,10 @@ bounded desk-scale oracle that tests and the dixon CLI subcommand use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt, lcm
 
 from ._numtheory import factorize, is_prime
-from .chartab import CharacterTable, _canonicalize, validate
+from .chartab import CharacterTable, ConjClass, _canonicalize, validate
 from .cyclotomic import cyc_make
 from .errors import SizeExceeded, ValidationError
 
@@ -64,7 +64,7 @@ def _perm_order(a: tuple[int, ...]) -> int:
             seen[x] = True
             x = a[x]
             length += 1
-        order = order * length // gcd(order, length)
+        order = lcm(order, length)
     return order
 
 
@@ -407,9 +407,7 @@ def table_from_class_data(
     ascending class-size order, until the class algebra is fully split.
     """
     c = len(data.sizes)
-    exponent = 1
-    for o in data.element_orders:
-        exponent = exponent * o // gcd(exponent, o)
+    exponent = lcm(*data.element_orders)
     rho = _choose_modulus(data.order, max(data.sizes), exponent)
     z = _element_of_order(exponent, rho)
 
@@ -495,8 +493,6 @@ def table_from_class_data(
                 raise ArithmeticError("root-of-unity multiplicities do not sum to the degree")
             values.append(cyc_make(o, terms))
         rows.append(values)
-
-    from .chartab import ConjClass
 
     classes = [
         ConjClass(size, order) for size, order in zip(data.sizes, data.element_orders)

@@ -8,7 +8,7 @@ import sys
 import time
 
 from blockgraph._numtheory import prime_divisors_of
-from blockgraph.blocks import block_partition
+from blockgraph.blocks import _partition, block_partition
 from blockgraph.chartab import prime_divisors
 from blockgraph.corpus import load_corpus_table
 from blockgraph.cyclotomic import reduction_contexts
@@ -193,7 +193,7 @@ class TestCriterion8IdealIndependence:
             table = load_corpus_table(name)
             for p in prime_divisors(table):
                 contexts = reduction_contexts(table.exponent, p)
-                partitions = {block_partition(table, p, ctx).blocks for ctx in contexts}
+                partitions = {_partition(table, p, ctx).blocks for ctx in contexts}
                 assert partitions == {block_partition(table, p).blocks}, (name, p)
                 cases += len(contexts)
         elapsed = time.perf_counter() - start

@@ -152,13 +152,14 @@ class TestPrincipalBlockCovering:
 
 class TestIdealIndependence:
     def test_small_tables_all_factors(self, corpus):
+        from blockgraph.blocks import _partition
         from blockgraph.cyclotomic import reduction_contexts
 
         for name in ("S3", "A5", "SL23"):
             table = corpus(name)
             for p in prime_divisors(table):
                 partitions = {
-                    block_partition(table, p, ctx).blocks
+                    _partition(table, p, ctx).blocks
                     for ctx in reduction_contexts(table.exponent, p)
                 }
                 assert partitions == {block_partition(table, p).blocks}, (name, p)

@@ -3,7 +3,10 @@ from math import gcd
 
 import numpy as np
 import pytest
+from sympy import Poly, symbols
+from sympy import cyclotomic_poly as sympy_cyclotomic
 
+from blockgraph._numtheory import coprime_part
 from blockgraph.cyclotomic import (
     Cyclotomic,
     conjugate,
@@ -22,6 +25,8 @@ from blockgraph.cyclotomic import (
 )
 from blockgraph.errors import ConductorMismatch, CycParseError, NotAlgebraicInteger
 from blockgraph.intpoly import IntPolynomial, x_power_minus_one
+
+Y = symbols("y")
 
 
 def rational(n):
@@ -229,8 +234,6 @@ class TestReduction:
                 other = [bits2 & 1, bits2 >> 1 & 1, bits2 >> 2 & 1, bits2 >> 3 & 1, 1]
                 if poly_mul2(cand, other) == phi15:
                     quartic_factors.append(tuple(cand))
-        contexts = reduction_contexts(15, 2)
-        assert sorted(set(quartic_factors)) == [ctx.modulus for ctx in contexts]
         ctx = make_reduction_context(15, 2)
         field = ctx.field
         zeta_bar = np.array(ctx.zeta_bar)
@@ -278,8 +281,28 @@ class TestReduction:
                     int(v) for v in field.mul(ra, rb)
                 )
 
-    def test_all_factors_have_stated_degree(self):
-        for m, p in [(15, 2), (35, 3), (16, 3), (21, 2)]:
-            contexts = reduction_contexts(m, p)
-            degrees = {ctx.degree for ctx in contexts}
-            assert len(degrees) == 1
+    @pytest.mark.parametrize("m, p", [(15, 2), (35, 3), (16, 3), (21, 2), (60, 7), (77, 2)])
+    def test_one_context_per_factor_of_phi(self, m, p):
+        # sympy oracle: the maximal ideals over p in Z[zeta_m] are the
+        # irreducible factors of Phi_{m'} mod p; each must vanish at the
+        # zeta_bar of exactly one context
+        m_prime = coprime_part(m, p)
+        _, factors = Poly(sympy_cyclotomic(m_prime, Y), Y, modulus=p).factor_list()
+        contexts = reduction_contexts(m, p)
+        assert len(factors) > 1
+        assert len(contexts) == len(factors)
+        field = contexts[0].field
+
+        def value_at(coeffs, z):
+            acc = field.zero()
+            for c in coeffs:
+                acc = (field.mul(acc, z) + int(c) * field.one()) % p
+            return acc
+
+        for factor, _ in factors:
+            coeffs = factor.all_coeffs()  # leading coefficient first
+            roots = [
+                ctx for ctx in contexts
+                if not value_at(coeffs, np.array(ctx.zeta_bar)).any()
+            ]
+            assert len(roots) == 1, (m, p, factor)
