@@ -13,19 +13,14 @@ from .chartab import CharacterTable, ConjClass, load_table, parse_table, prime_d
 from .corpus import corpus_dir, corpus_names, load_corpus_table
 from .cyclotomic import (
     Cyclotomic,
-    FiniteFieldElt,
     IntPolynomial,
-    ReductionContext,
     cyc_add,
     cyc_div_by_int,
     cyc_make,
     cyc_mul,
     cyc_neg,
     cyclotomic_polynomial,
-    make_reduction_context,
     parse_cyclotomic,
-    reduce_cyclotomic,
-    reduction_contexts,
     zeta,
 )
 from .graph import (

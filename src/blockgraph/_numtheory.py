@@ -37,7 +37,7 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    # Brent's cycle-finding variant; n must be odd composite.
+    # Floyd's cycle finding, one gcd per step; n must be odd composite.
     if n % 2 == 0:
         return 2
     for c in range(1, 100):

@@ -2,13 +2,13 @@
 
 Two irreducible characters lie in the same p-block exactly when their
 central characters omega(K) = |K| chi(g_K) / chi(1) agree on every class
-after reduction modulo a maximal ideal over p.  The reduction context is
-built at M, the lcm of the conductors of the table's values: one ideal
-of Z[zeta_M], fixed by _gf.find_irreducible and a primitive M'-th root of
-unity in the residue field.  Rows with equal reduction fingerprints form
-one block.  The partition provably does not depend on the ideal chosen;
-the test suite checks that by running _partition under every ideal at the
-group exponent, as enumerated by cyclotomic.reduction_contexts.
+after reduction modulo a maximal ideal over p.  The partition does not
+depend on the ideal, so the congruence is decided modulo all of them at
+once, that is, modulo the radical of p.  Each class column is reduced at
+its own conductor c = p^a c': Z[zeta_c]/rad(p) is F_p[x]/(Phi_{c'}), with
+zeta_c -> x, because Phi_c = Phi_{c'}^{phi(p^a)} mod p and Phi_{c'} is
+squarefree mod p.  No irreducible polynomial or residue field is needed.
+Rows whose column images all agree form one block.
 """
 
 from __future__ import annotations
@@ -17,15 +17,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from ._numtheory import p_adic_valuation
+import numpy as np
+
+from ._numtheory import coprime_part, p_adic_valuation
 from .chartab import CharacterTable
-from .cyclotomic import (
-    Cyclotomic,
-    ReductionContext,
-    cyc_div_by_int,
-    make_reduction_context,
-    reduce_cyclotomic,
-)
+from .cyclotomic import Cyclotomic, cyc_div_by_int
+from .intpoly import cyclotomic_polynomial
 
 __all__ = [
     "CentralCharacter",
@@ -71,20 +68,49 @@ def central_character(table: CharacterTable, row: int) -> CentralCharacter:
     return CentralCharacter(values)
 
 
-@lru_cache(maxsize=256)
-def _partition_cached(table: CharacterTable, p: int) -> BlockPartition:
-    conductor = lcm(*(value.conductor for row in table.irr for value in row))
-    return _partition(table, p, make_reduction_context(conductor, p))
+@lru_cache(maxsize=128)
+def _central_characters(table: CharacterTable) -> tuple[CentralCharacter, ...]:
+    return tuple(central_character(table, row) for row in range(table.num_classes))
 
 
-def _partition(table: CharacterTable, p: int, ctx: ReductionContext) -> BlockPartition:
+def _radical_images(values: list[Cyclotomic], p: int) -> np.ndarray:
+    """Images of the values in Z[zeta_c]/rad(p) = F_p[x]/(Phi_{c'}), c the
+    lcm of their conductors: one row of phi(c') coefficients per value."""
+    c = lcm(*(value.conductor for value in values))
+    c_prime = coprime_part(c, p)
+    # residues below 2^31 keep every product below 2^62
+    dtype = np.int64 if p < 2**31 else object
+    images = np.zeros((len(values), c_prime), dtype=dtype)
+    for row, value in enumerate(values):
+        stride = c // value.conductor
+        for i, coeff in enumerate(value.coeffs):
+            images[row, i * stride % c_prime] += coeff % p
+    images %= p
+    phi = cyclotomic_polynomial(c_prime).coeffs
+    n = len(phi) - 1
+    tail = np.array([coeff % p for coeff in phi[:n]], dtype=dtype)
+    for d in range(c_prime - 1, n - 1, -1):
+        # x^d = x^(d-n) x^n and x^n = -tail(x), Phi_{c'} being monic
+        images[:, d - n : d] = (images[:, d - n : d] - np.outer(images[:, d], tail)) % p
+    return images[:, :n]
+
+
+def block_partition(table: CharacterTable, p: int) -> BlockPartition:
+    """Partition of the rows into p-blocks.  p need not divide the group
+    order (then every block is a defect-0 singleton)."""
+    omegas = _central_characters(table)
+    images = np.concatenate(
+        [
+            _radical_images([omega.values[k] for omega in omegas], p)
+            for k in range(table.num_classes)
+        ],
+        axis=1,
+    )
     groups: dict[tuple, list[int]] = {}
-    for row in range(table.num_classes):
-        omega = central_character(table, row)
-        fingerprint = tuple(reduce_cyclotomic(v, ctx) for v in omega.values)
-        groups.setdefault(fingerprint, []).append(row)
+    for row, image in enumerate(images.tolist()):
+        groups.setdefault(tuple(image), []).append(row)
 
-    blocks = tuple(tuple(rows) for rows in sorted(groups.values(), key=lambda b: b[0]))
+    blocks = tuple(tuple(rows) for rows in groups.values())
     principal_index = next(i for i, b in enumerate(blocks) if 0 in b)
     nu_order = p_adic_valuation(table.group_order, p)
     defects = tuple(
@@ -92,12 +118,6 @@ def _partition(table: CharacterTable, p: int, ctx: ReductionContext) -> BlockPar
         for block in blocks
     )
     return BlockPartition(p, blocks, principal_index, defects)
-
-
-def block_partition(table: CharacterTable, p: int) -> BlockPartition:
-    """Partition of the rows into p-blocks.  p need not divide the group
-    order (then every block is a defect-0 singleton)."""
-    return _partition_cached(table, p)
 
 
 def principal_block_rows(table: CharacterTable, p: int) -> frozenset[int]:

@@ -6,17 +6,6 @@ Rational integers always live at conductor 1.  All construction funnels
 through the sparse prime-power engine in _zeta, which performs the
 reduction, finds the minimal conductor, and only then expands to the dense
 form, so no arithmetic ever divides by a large Phi_n.
-
-The module also provides the reduction maps into finite fields that the
-block criterion consumes: a ReductionContext fixes a maximal ideal over p
-in Z[zeta_m] by a residue field F_p[y]/(f) together with the image
-zeta_bar of zeta_{m'} (m' the p'-part of m), a primitive m'-th root of
-unity there.  make_reduction_context builds the one ideal the block
-computation uses, at the conductor of the table's values, from
-_gf.find_irreducible and a root of unity.  reduction_contexts enumerates
-every ideal as a Galois twist of that one, zeta_bar -> zeta_bar^s with one
-s per orbit of multiplication by p on (Z/m')*, in the same field, and
-serves only as the oracle for the independence checks.
 """
 
 from __future__ import annotations
@@ -25,11 +14,8 @@ import re
 from dataclasses import dataclass
 from math import gcd, lcm
 
-import numpy as np
-
-from . import _gf, _zeta
-from ._numtheory import coprime_part, euler_phi, is_prime, multiplicative_order
-from .errors import ConductorMismatch, CycParseError, NotAlgebraicInteger
+from . import _zeta
+from .errors import CycParseError, NotAlgebraicInteger
 from .intpoly import IntPolynomial, cyclotomic_polynomial
 
 __all__ = [
@@ -45,11 +31,6 @@ __all__ = [
     "parse_cyclotomic",
     "cyclotomic_polynomial",
     "IntPolynomial",
-    "FiniteFieldElt",
-    "ReductionContext",
-    "make_reduction_context",
-    "reduction_contexts",
-    "reduce_cyclotomic",
 ]
 
 
@@ -296,104 +277,3 @@ def parse_cyclotomic(text: str) -> Cyclotomic:
         key = e * (common // n) % common
         monomials[key] = monomials.get(key, 0) + c
     return _build(common, monomials)
-
-
-# -- reduction modulo a maximal ideal over p ---------------------------------
-
-
-@dataclass(frozen=True)
-class FiniteFieldElt:
-    """An element of F_p[y]/(f), as k residues mod p (constant term first)."""
-
-    p: int
-    degree: int
-    coeffs: tuple[int, ...]
-
-
-class ReductionContext:
-    """Fixes the homomorphism Z[zeta_m] -> field = F_p[y]/(f) used to compare
-    central characters mod p; zeta_{m'}, m' the p'-part of m, maps to
-    zeta_bar, which must have exact order m' in the field."""
-
-    def __init__(self, m: int, p: int, field: _gf.GF, zeta_bar: np.ndarray):
-        self.p = p
-        self.m = m
-        self.m_prime = coprime_part(m, p)
-        self.field = field
-        self.modulus = tuple(int(c) for c in field.modulus)
-        self.degree = field.k
-        self.zeta_bar = tuple(int(c) for c in zeta_bar)
-        self._power_tables: dict[int, np.ndarray] = {}
-
-    def __repr__(self):
-        f = IntPolynomial(self.modulus)
-        return f"ReductionContext(p={self.p}, m={self.m}, m'={self.m_prime}, k={self.degree}, f={f})"
-
-    def _powers_for_conductor(self, d: int) -> np.ndarray:
-        table = self._power_tables.get(d)
-        if table is None:
-            d_prime = coprime_part(d, self.p)
-            b = d // d_prime
-            if d_prime == 1:
-                exponent = 0
-            else:
-                exponent = (self.m_prime // d_prime) * pow(b % d_prime, -1, d_prime) % self.m_prime
-            base = self.field.pow(np.asarray(self.zeta_bar, dtype=np.int64), exponent)
-            phi_d = euler_phi(d)
-            rows = np.zeros((phi_d, self.degree), dtype=np.int64)
-            acc = self.field.one()
-            for i in range(phi_d):
-                rows[i] = acc
-                acc = self.field.mul(acc, base)
-            table = rows
-            self._power_tables[d] = table
-        return table
-
-
-def make_reduction_context(m: int, p: int) -> ReductionContext:
-    """Context for one maximal ideal over p in Z[zeta_m]: the residue field
-    is F_p[y]/(f), f = find_irreducible(p, k) with k = ord_{m'}(p), and
-    zeta_bar is its first primitive m'-th root of unity in counter order.
-    The block partition does not depend on the ideal (tested against every
-    ideal through reduction_contexts)."""
-    if m < 1:
-        raise ValueError("conductor must be positive")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    m_prime = coprime_part(m, p)
-    field = _gf.GF(p, _gf.find_irreducible(p, multiplicative_order(p, m_prime)))
-    return ReductionContext(m, p, field, _gf._root_of_unity(field, m_prime))
-
-
-def reduction_contexts(m: int, p: int) -> list[ReductionContext]:
-    """Every maximal ideal over p in Z[zeta_m], one context each; the
-    oracle for the ideal-independence checks.  The homomorphisms into the
-    residue field of make_reduction_context are zeta_{m'} -> zeta_bar^s for
-    the units s mod m', and two share a kernel exactly when their s differ
-    by a power of p (Frobenius), so one s per orbit gives each ideal once.
-    For m' = 1 the one unit is s = 0."""
-    base = make_reduction_context(m, p)
-    field, m_prime = base.field, base.m_prime
-    zeta_bar = np.asarray(base.zeta_bar, dtype=np.int64)
-    seen: set[int] = set()
-    contexts = []
-    for s in range(m_prime):
-        if s in seen or gcd(s, m_prime) != 1:
-            continue
-        t = s
-        while t not in seen:
-            seen.add(t)
-            t = t * p % m_prime
-        contexts.append(ReductionContext(m, p, field, field.pow(zeta_bar, s)))
-    return contexts
-
-
-def reduce_cyclotomic(a: Cyclotomic, ctx: ReductionContext) -> FiniteFieldElt:
-    """Image of a under the context's ring homomorphism."""
-    a = _coerce(a)
-    if ctx.m % a.conductor:
-        raise ConductorMismatch(f"conductor {a.conductor} does not divide m = {ctx.m}")
-    table = ctx._powers_for_conductor(a.conductor)
-    vec = np.asarray(a.coeffs, dtype=object) % ctx.p
-    image = (vec.astype(np.int64) @ table) % ctx.p
-    return FiniteFieldElt(ctx.p, ctx.degree, tuple(int(c) for c in image))

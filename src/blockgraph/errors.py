@@ -21,10 +21,6 @@ class NotAlgebraicInteger(BlockgraphError):
     """Division of a cyclotomic integer left the ring of integers."""
 
 
-class ConductorMismatch(BlockgraphError):
-    """Value conductor does not divide the reduction context modulus."""
-
-
 class VertexNotFound(BlockgraphError):
     """Queried prime is not a vertex of the block graph."""
 

@@ -278,6 +278,8 @@ def _poly_roots(f: list[int], rho: int) -> list[int]:
     xr = pow_x_mod(rho, f)
     xr_minus_x = xr[:] + [0] * max(0, 2 - len(xr))
     xr_minus_x[1] = (xr_minus_x[1] - 1) % rho
+    while xr_minus_x and xr_minus_x[-1] == 0:
+        xr_minus_x.pop()
     g = poly_gcd(f, xr_minus_x)
     g = [c * pow(g[-1], -1, rho) % rho for c in g]
 

@@ -1,24 +1,48 @@
-"""Arithmetic in GF(p^k) = F_p[y]/(f), numpy-backed.
+"""Test-support oracle: block partitions modulo one explicit maximal ideal.
 
-Elements are int64 coefficient vectors of length k (constant term first).
-Multiplication is one convolution plus a precomputed fold of the overflow
-degrees k..2k-2 back into the basis, so products cost O(k^2) C-side work.
+Two characters lie in the same p-block exactly when their central
+characters agree modulo a maximal ideal over p, and the partition does not
+depend on the ideal.  The program reduces modulo the radical of p, which
+needs no residue field; this module keeps the per-ideal computation as the
+reference the tests compare against.
 
-Also provides what reduction contexts need on top of the field itself: a
-deterministic irreducible-polynomial search (Rabin's test with a Frobenius
-matrix) and roots of unity of exact order, which together fix the one
-maximal ideal the block computation reduces modulo.  The other maximal
-ideals come from powers of that root in the same field, so no cyclotomic
-polynomial is ever factored.
+GF(p^k) = F_p[y]/(f) is numpy-backed: elements are int64 coefficient
+vectors of length k (constant term first), and multiplication is one
+convolution plus a precomputed fold of the overflow degrees k..2k-2 back
+into the basis.  find_irreducible (Rabin's test with a Frobenius matrix)
+and _root_of_unity fix one maximal ideal of Z[zeta_m]; reduction_contexts
+gets every other one as a Galois twist of it in the same field, so no
+cyclotomic polynomial is ever factored.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
-from ._numtheory import factorize
+from blockgraph._numtheory import (
+    coprime_part,
+    euler_phi,
+    factorize,
+    is_prime,
+    multiplicative_order,
+    p_adic_valuation,
+)
+from blockgraph.blocks import BlockPartition, central_character
+from blockgraph.chartab import CharacterTable
+from blockgraph.cyclotomic import Cyclotomic, _coerce
+from blockgraph.errors import BlockgraphError
+from blockgraph.intpoly import IntPolynomial
+
+
+class ConductorMismatch(BlockgraphError):
+    """Value conductor does not divide the reduction context modulus."""
+
+
+# -- the residue field -------------------------------------------------------
 
 
 def _trim(a: np.ndarray) -> np.ndarray:
@@ -247,3 +271,125 @@ def _root_of_unity(field: GF, order: int) -> np.ndarray:
         ):
             return z
     raise ArithmeticError("no element of the requested order")
+
+
+# -- reduction modulo a maximal ideal over p ---------------------------------
+
+
+@dataclass(frozen=True)
+class FiniteFieldElt:
+    """An element of F_p[y]/(f), as k residues mod p (constant term first)."""
+
+    p: int
+    degree: int
+    coeffs: tuple[int, ...]
+
+
+class ReductionContext:
+    """Fixes the homomorphism Z[zeta_m] -> field = F_p[y]/(f) used to compare
+    central characters mod p; zeta_{m'}, m' the p'-part of m, maps to
+    zeta_bar, which must have exact order m' in the field."""
+
+    def __init__(self, m: int, p: int, field: GF, zeta_bar: np.ndarray):
+        self.p = p
+        self.m = m
+        self.m_prime = coprime_part(m, p)
+        self.field = field
+        self.modulus = tuple(int(c) for c in field.modulus)
+        self.degree = field.k
+        self.zeta_bar = tuple(int(c) for c in zeta_bar)
+        self._power_tables: dict[int, np.ndarray] = {}
+
+    def __repr__(self):
+        f = IntPolynomial(self.modulus)
+        return f"ReductionContext(p={self.p}, m={self.m}, m'={self.m_prime}, k={self.degree}, f={f})"
+
+    def _powers_for_conductor(self, d: int) -> np.ndarray:
+        table = self._power_tables.get(d)
+        if table is None:
+            d_prime = coprime_part(d, self.p)
+            b = d // d_prime
+            if d_prime == 1:
+                exponent = 0
+            else:
+                exponent = (self.m_prime // d_prime) * pow(b % d_prime, -1, d_prime) % self.m_prime
+            base = self.field.pow(np.asarray(self.zeta_bar, dtype=np.int64), exponent)
+            phi_d = euler_phi(d)
+            rows = np.zeros((phi_d, self.degree), dtype=np.int64)
+            acc = self.field.one()
+            for i in range(phi_d):
+                rows[i] = acc
+                acc = self.field.mul(acc, base)
+            table = rows
+            self._power_tables[d] = table
+        return table
+
+
+def make_reduction_context(m: int, p: int) -> ReductionContext:
+    """Context for one maximal ideal over p in Z[zeta_m]: the residue field
+    is F_p[y]/(f), f = find_irreducible(p, k) with k = ord_{m'}(p), and
+    zeta_bar is its first primitive m'-th root of unity in counter order.
+    The block partition does not depend on the ideal (tested against every
+    ideal through reduction_contexts)."""
+    if m < 1:
+        raise ValueError("conductor must be positive")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    m_prime = coprime_part(m, p)
+    field = GF(p, find_irreducible(p, multiplicative_order(p, m_prime)))
+    return ReductionContext(m, p, field, _root_of_unity(field, m_prime))
+
+
+def reduction_contexts(m: int, p: int) -> list[ReductionContext]:
+    """Every maximal ideal over p in Z[zeta_m], one context each; the
+    oracle for the ideal-independence checks.  The homomorphisms into the
+    residue field of make_reduction_context are zeta_{m'} -> zeta_bar^s for
+    the units s mod m', and two share a kernel exactly when their s differ
+    by a power of p (Frobenius), so one s per orbit gives each ideal once.
+    For m' = 1 the one unit is s = 0."""
+    base = make_reduction_context(m, p)
+    field, m_prime = base.field, base.m_prime
+    zeta_bar = np.asarray(base.zeta_bar, dtype=np.int64)
+    seen: set[int] = set()
+    contexts = []
+    for s in range(m_prime):
+        if s in seen or gcd(s, m_prime) != 1:
+            continue
+        t = s
+        while t not in seen:
+            seen.add(t)
+            t = t * p % m_prime
+        contexts.append(ReductionContext(m, p, field, field.pow(zeta_bar, s)))
+    return contexts
+
+
+def reduce_cyclotomic(a: Cyclotomic, ctx: ReductionContext) -> FiniteFieldElt:
+    """Image of a under the context's ring homomorphism."""
+    a = _coerce(a)
+    if ctx.m % a.conductor:
+        raise ConductorMismatch(f"conductor {a.conductor} does not divide m = {ctx.m}")
+    table = ctx._powers_for_conductor(a.conductor)
+    vec = np.asarray(a.coeffs, dtype=object) % ctx.p
+    image = (vec.astype(np.int64) @ table) % ctx.p
+    return FiniteFieldElt(ctx.p, ctx.degree, tuple(int(c) for c in image))
+
+
+# -- the block partition under one ideal --------------------------------------
+
+
+def oracle_partition(table: CharacterTable, p: int, ctx: ReductionContext) -> BlockPartition:
+    """Rows grouped by their central characters reduced through ctx."""
+    groups: dict[tuple, list[int]] = {}
+    for row in range(table.num_classes):
+        omega = central_character(table, row)
+        fingerprint = tuple(reduce_cyclotomic(v, ctx) for v in omega.values)
+        groups.setdefault(fingerprint, []).append(row)
+
+    blocks = tuple(tuple(rows) for rows in sorted(groups.values(), key=lambda b: b[0]))
+    principal_index = next(i for i, b in enumerate(blocks) if 0 in b)
+    nu_order = p_adic_valuation(table.group_order, p)
+    defects = tuple(
+        nu_order - min(p_adic_valuation(table.row_degree(r), p) for r in block)
+        for block in blocks
+    )
+    return BlockPartition(p, blocks, principal_index, defects)

@@ -8,10 +8,9 @@ import sys
 import time
 
 from blockgraph._numtheory import prime_divisors_of
-from blockgraph.blocks import _partition, block_partition
+from blockgraph.blocks import block_partition
 from blockgraph.chartab import prime_divisors
 from blockgraph.corpus import load_corpus_table
-from blockgraph.cyclotomic import reduction_contexts
 from blockgraph.errors import ConditionViolated, InvalidDescriptor
 from blockgraph.graph import build_block_graph, is_complete, solvability_criterion
 from blockgraph.lietype import (
@@ -24,6 +23,7 @@ from blockgraph.lietype import (
 )
 from blockgraph._numtheory import multiplicative_order, p_part
 from blockgraph.tablegen import dixon_table, enumerate_group
+from ideal_oracle import oracle_partition, reduction_contexts
 
 
 def _fresh_caches():
@@ -193,7 +193,7 @@ class TestCriterion8IdealIndependence:
             table = load_corpus_table(name)
             for p in prime_divisors(table):
                 contexts = reduction_contexts(table.exponent, p)
-                partitions = {_partition(table, p, ctx).blocks for ctx in contexts}
+                partitions = {oracle_partition(table, p, ctx).blocks for ctx in contexts}
                 assert partitions == {block_partition(table, p).blocks}, (name, p)
                 cases += len(contexts)
         elapsed = time.perf_counter() - start

@@ -1,8 +1,19 @@
-from blockgraph._numtheory import p_adic_valuation, p_part
-from blockgraph.blocks import block_partition, central_character, principal_block_rows
+from functools import lru_cache
+from math import lcm
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Poly, symbols
+from sympy import cyclotomic_poly as sympy_cyclotomic
+
+from blockgraph._numtheory import coprime_part, divisors, p_adic_valuation, p_part
+from blockgraph.blocks import _radical_images, block_partition, central_character, principal_block_rows
 from blockgraph.chartab import prime_divisors
-from blockgraph.cyclotomic import Cyclotomic, conjugate, cyc_div_by_int
+from blockgraph.cyclotomic import Cyclotomic, conjugate, cyc_div_by_int, cyc_make
+from blockgraph.intpoly import cyclotomic_polynomial
 from blockgraph.tablegen import conjugacy_classes, dixon_table, enumerate_group
+from ideal_oracle import oracle_partition, reduce_cyclotomic, reduction_contexts
 
 A5_GENS = [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)]
 S5_GENS = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]
@@ -152,14 +163,93 @@ class TestPrincipalBlockCovering:
 
 class TestIdealIndependence:
     def test_small_tables_all_factors(self, corpus):
-        from blockgraph.blocks import _partition
-        from blockgraph.cyclotomic import reduction_contexts
-
         for name in ("S3", "A5", "SL23"):
             table = corpus(name)
             for p in prime_divisors(table):
                 partitions = {
-                    _partition(table, p, ctx).blocks
+                    oracle_partition(table, p, ctx).blocks
                     for ctx in reduction_contexts(table.exponent, p)
                 }
                 assert partitions == {block_partition(table, p).blocks}, (name, p)
+
+
+def cyclotomics(m):
+    """Cyclotomic integers at the divisors of m."""
+    return st.sampled_from(divisors(m)).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(-30, 30)), max_size=6
+        ).map(lambda terms: cyc_make(n, terms))
+    )
+
+
+@lru_cache(maxsize=None)
+def ideal_generators(m, p):
+    """(p, Phi_{m'}(zeta_m)), which generate the radical of p in Z[zeta_m],
+    and each irreducible factor of Phi_{m'} mod p evaluated at zeta_m, which
+    lies in exactly one maximal ideal when there are several."""
+    y = symbols("y")
+    m_prime = coprime_part(m, p)
+    phi = cyclotomic_polynomial(m_prime).coeffs
+    radical = (p, cyc_make(m, list(enumerate(phi))))
+    _, factors = Poly(sympy_cyclotomic(m_prime, y), y, modulus=p).factor_list()
+    single = tuple(
+        cyc_make(m, [(e, int(c)) for e, c in enumerate(reversed(f.all_coeffs()))])
+        for f, _ in factors
+    )
+    return radical, single
+
+
+def reduce_mod_phi(coeffs, phi, p):
+    """Remainder of a polynomial (constant term first) by monic phi over F_p."""
+    n = len(phi) - 1
+    rem = [c % p for c in coeffs] + [0] * n
+    for d in range(len(rem) - 1, n - 1, -1):
+        top = rem[d]
+        for j, c in enumerate(phi):
+            rem[d - n + j] = (rem[d - n + j] - top * c) % p
+    return rem[:n]
+
+
+class TestRadicalReduction:
+    """The image of Z[zeta_c] in F_p[x]/(Phi_{c'}) that block_partition
+    compares, checked against the per-ideal oracle and the ring laws."""
+
+    @pytest.mark.parametrize("m, p", [(30, 7), (15, 2), (20, 3), (12, 5), (40, 2), (45, 3)])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_zero_exactly_when_zero_modulo_every_ideal(self, m, p, data):
+        a = data.draw(cyclotomics(m))
+        (prime, phi_at_zeta), single = ideal_generators(m, p)
+        kind = data.draw(st.sampled_from(["any", "radical", "one ideal"]))
+        if kind == "radical":
+            a = prime * a + phi_at_zeta * data.draw(cyclotomics(m))
+        elif kind == "one ideal":
+            a = a * data.draw(st.sampled_from(single))
+        radical_zero = not _radical_images([a], p).any()
+        ideal_zero = all(
+            not any(reduce_cyclotomic(a, ctx).coeffs) for ctx in reduction_contexts(m, p)
+        )
+        assert radical_zero == ideal_zero, (a, kind)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.sampled_from([12, 18, 20, 24, 30, 36, 40, 45, 60]),
+        p=st.sampled_from([2, 3, 5, 7, 2147483659]),
+        data=st.data(),
+    )
+    def test_ring_homomorphism(self, m, p, data):
+        a, b = data.draw(cyclotomics(m)), data.draw(cyclotomics(m))
+        one = Cyclotomic(1, (1,))
+        image_a, image_b, image_sum, image_product, image_one = _radical_images(
+            [a, b, a + b, a * b, one], p
+        ).tolist()
+        c_prime = coprime_part(lcm(a.conductor, b.conductor), p)
+        phi = cyclotomic_polynomial(c_prime).coeffs
+        product = [0] * (2 * len(image_a) - 1)
+        for i, x in enumerate(image_a):
+            for j, y in enumerate(image_b):
+                product[i + j] += x * y
+        assert len(image_a) == len(phi) - 1
+        assert image_sum == [(x + y) % p for x, y in zip(image_a, image_b)]
+        assert image_product == reduce_mod_phi(product, phi, p)
+        assert image_one == [1] + [0] * (len(phi) - 2)

@@ -17,14 +17,17 @@ from blockgraph.cyclotomic import (
     cyc_neg,
     cyclotomic_polynomial,
     galois,
-    make_reduction_context,
     parse_cyclotomic,
-    reduce_cyclotomic,
-    reduction_contexts,
     zeta,
 )
-from blockgraph.errors import ConductorMismatch, CycParseError, NotAlgebraicInteger
+from blockgraph.errors import CycParseError, NotAlgebraicInteger
 from blockgraph.intpoly import IntPolynomial, x_power_minus_one
+from ideal_oracle import (
+    ConductorMismatch,
+    make_reduction_context,
+    reduce_cyclotomic,
+    reduction_contexts,
+)
 
 Y = symbols("y")
 

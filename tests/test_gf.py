@@ -1,10 +1,11 @@
-"""Finite-field layer: irreducibility, the counter-order search and roots of
-unity, checked against sympy (a test-only oracle) and brute force."""
+"""The ideal oracle's finite fields: irreducibility, the counter-order search
+and roots of unity, checked against sympy (a test-only oracle) and brute
+force."""
 
 import pytest
 from sympy import Poly, symbols
 
-from blockgraph._gf import (
+from ideal_oracle import (
     GF,
     _element,
     _int_to_poly,
@@ -52,11 +53,12 @@ def scan_from_one(field, order):
 
 
 # The counter c of f = _int_to_poly(p, k, c) that find_irreducible returns
-# for the residue fields the program reduces into: the bundled tables at
-# their value conductors and at their exponents (the ideal-independence
-# oracle), and the Dixon ladder S5-S8, PSL(2,p) for 13 <= p <= 41.  The
-# counters were recorded from the Ben-Or search that Rabin's test replaced,
-# so the fields, and every block computed in them, stay the same.
+# at the degrees the bundled tables (at their value conductors and at their
+# exponents) and the Dixon ladder S5-S8, PSL(2,p) for 13 <= p <= 41 give
+# rise to.  The counters were recorded from the Ben-Or search that Rabin's
+# test replaced.  They are the only check of the search above the degrees
+# the sympy comparisons reach, and the oracle's ideals at the group
+# exponents use degrees up to 180.
 WORKLOAD_COUNTERS = {
     (2, 2): 3, (2, 3): 3, (2, 4): 3, (2, 6): 3, (2, 12): 9, (2, 20): 9,
     (2, 24): 27, (2, 36): 53, (2, 60): 3, (2, 84): 33, (2, 110): 83,

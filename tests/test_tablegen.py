@@ -2,7 +2,7 @@ import pytest
 
 from blockgraph.chartab import validate
 from blockgraph.errors import SizeExceeded
-from blockgraph.tablegen import conjugacy_classes, dixon_table, enumerate_group
+from blockgraph.tablegen import _poly_roots, conjugacy_classes, dixon_table, enumerate_group
 
 
 class TestEnumerate:
@@ -78,3 +78,8 @@ class TestDixon:
         ):
             table = dixon_table(enumerate_group(gens))
             assert validate(table) == []
+
+    def test_poly_roots_of_a_power_of_x(self):
+        # x^rho mod x^15 leaves zero coefficients at the top of x^rho - x;
+        # the charpoly x^15 arises in the Dixon table of PSL(2,32)
+        assert _poly_roots([0] * 15 + [1], 380557) == [0]
