@@ -19,7 +19,7 @@ from math import lcm
 
 import numpy as np
 
-from ._numtheory import coprime_part, p_adic_valuation
+from ._numtheory import coprime_part, is_prime, p_adic_valuation
 from .chartab import CharacterTable
 from .cyclotomic import Cyclotomic, cyc_div_by_int
 from .intpoly import cyclotomic_polynomial
@@ -78,9 +78,8 @@ def _radical_images(values: list[Cyclotomic], p: int) -> np.ndarray:
     lcm of their conductors: one row of phi(c') coefficients per value."""
     c = lcm(*(value.conductor for value in values))
     c_prime = coprime_part(c, p)
-    # residues below 2^31 keep every product below 2^62
-    dtype = np.int64 if p < 2**31 else object
-    images = np.zeros((len(values), c_prime), dtype=dtype)
+    # residues below p < 2^31 keep every product below 2^62
+    images = np.zeros((len(values), c_prime), dtype=np.int64)
     for row, value in enumerate(values):
         stride = c // value.conductor
         for i, coeff in enumerate(value.coeffs):
@@ -88,7 +87,7 @@ def _radical_images(values: list[Cyclotomic], p: int) -> np.ndarray:
     images %= p
     phi = cyclotomic_polynomial(c_prime).coeffs
     n = len(phi) - 1
-    tail = np.array([coeff % p for coeff in phi[:n]], dtype=dtype)
+    tail = np.array([coeff % p for coeff in phi[:n]], dtype=np.int64)
     for d in range(c_prime - 1, n - 1, -1):
         # x^d = x^(d-n) x^n and x^n = -tail(x), Phi_{c'} being monic
         images[:, d - n : d] = (images[:, d - n : d] - np.outer(images[:, d], tail)) % p
@@ -98,11 +97,21 @@ def _radical_images(values: list[Cyclotomic], p: int) -> np.ndarray:
 def block_partition(table: CharacterTable, p: int) -> BlockPartition:
     """Partition of the rows into p-blocks.  p need not divide the group
     order (then every block is a defect-0 singleton)."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    n = table.num_classes
+    if table.group_order % p:
+        # every character of a p'-group has defect 0, so it is a block by itself
+        return BlockPartition(p, tuple((row,) for row in range(n)), 0, (0,) * n)
+    if p >= 2**31:
+        # a group whose order p divides has at least 2 sqrt(p - 1) classes
+        # (Maroti 2016), so no genuine table reaches this
+        raise ValueError(f"{p} divides the group order but is not below 2^31")
     omegas = _central_characters(table)
     images = np.concatenate(
         [
             _radical_images([omega.values[k] for omega in omegas], p)
-            for k in range(table.num_classes)
+            for k in range(n)
         ],
         axis=1,
     )

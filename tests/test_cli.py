@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import blockgraph
 from blockgraph.cli import run
 from blockgraph.corpus import corpus_path
@@ -49,6 +51,11 @@ class TestBlocksCommand:
         principal = next(b for b in doc["blocks"] if b["principal"])
         assert sorted(principal["degrees"]) == [1, 3, 3, 4]
         assert doc["prime"] == 5
+
+    @pytest.mark.parametrize("p", ["1", "0", "-5", "4"])
+    def test_not_a_prime_exit_3(self, capsys, p):
+        code, out, err = invoke(capsys, "blocks", "A5", "-p", p)
+        assert code == 3 and out == "" and "not prime" in err
 
 
 class TestSolvabilityCommands:
