@@ -91,7 +91,7 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def euler_phi(n: int) -> int:
     phi = n
     for p in factorize(n):

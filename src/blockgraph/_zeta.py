@@ -32,7 +32,7 @@ class Component(NamedTuple):
     cofactor: int  # n // p^a
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def components(n: int) -> tuple[Component, ...]:
     comps = []
     for p, a in factorize(n).items():
@@ -156,7 +156,7 @@ def descend(n: int, tensor: dict) -> tuple[int, dict]:
 _ROW_CACHE_LIMIT = 512  # above this, per-conductor row tables get too large
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _monomial_rows(n: int) -> list[tuple[int, ...]]:
     # rows[j - phi] = power-basis coordinates of x^j mod Phi_n, phi <= j < n.
     phi_poly = cyclotomic_polynomial(n)

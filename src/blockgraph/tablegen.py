@@ -14,12 +14,26 @@ The solver itself only consumes abstract class data (sizes, element
 orders, power maps, and a callback producing class-sum matrices), so other
 element representations can reuse it; the PermGroup front end here is the
 bounded desk-scale oracle that tests and the dixon CLI subcommand use.
+
+PermGroup holds its elements as one order x degree numpy array of the
+smallest unsigned dtype that fits a point, and works on them in batches:
+products are fancy indexing (x*g is x[g]), and one sorted index of the
+rows, built once per group, turns a whole array of products into element
+positions with one searchsorted.  Enumeration is breadth-first one layer
+at a time, conjugation by a generator is an index array over all
+elements, and row i of a class matrix is one batched product, one lookup
+and one bincount.  The element order and the class numbering are those of
+the element-at-a-time walk, which chartab._canonicalize's stable sort
+turns into the column order of tied classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt, lcm
+
+import numpy as np
 
 from ._numtheory import factorize, is_prime
 from .chartab import CharacterTable, ConjClass, _canonicalize, validate
@@ -40,47 +54,54 @@ DEFAULT_BOUND = 10**6
 # -- permutation groups -------------------------------------------------------
 
 
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # apply b first, then a
-    return tuple(a[x] for x in b)
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    # each row's bytes as one opaque key, so sorting and searching compare rows
+    rows = np.ascontiguousarray(rows)
+    width = rows.dtype.itemsize * rows.shape[1]
+    if not width:  # the empty permutation, on 0 points
+        return np.zeros(len(rows), dtype="V0")
+    return rows.view(np.dtype((np.void, width)))[:, 0]
 
 
-def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        out[x] = i
-    return tuple(out)
-
-
-def _perm_order(a: tuple[int, ...]) -> int:
-    order = 1
-    seen = [False] * len(a)
-    for start in range(len(a)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = a[x]
-            length += 1
-        order = lcm(order, length)
-    return order
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermGroup:
+    """An enumerated permutation group.
+
+    Row x of an order x degree array maps point c to x[c]; the product
+    x*g (apply g first, then x) is x[g], and elements[:, g] multiplies
+    every element by g at once.  elements[0] is the identity.
+    """
+
     degree: int
-    generators: tuple[tuple[int, ...], ...]
-    elements: tuple[tuple[int, ...], ...]
+    generators: np.ndarray  # one generator per row
+    elements: np.ndarray
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _index(self) -> tuple[np.ndarray, np.ndarray]:
+        keys = _row_keys(self.elements)
+        perm = np.argsort(keys)
+        return keys[perm], perm
+
+    def index_of(self, rows: np.ndarray) -> np.ndarray:
+        """Positions in elements of the rows of a k x degree array."""
+        wanted = _row_keys(np.asarray(rows, dtype=self.elements.dtype))
+        keys, perm = self._index
+        pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        if not np.array_equal(keys[pos], wanted):  # compares the whole rows
+            raise ValueError("not an element of the group")
+        return perm[pos]
+
 
 def enumerate_group(generators, bound: int = DEFAULT_BOUND) -> PermGroup:
-    """Closure of the generators under products, breadth-first."""
+    """Closure of the generators under products, breadth-first.
+
+    Each layer multiplies the frontier by every generator (frontier-major,
+    generator-minor) and keeps the first occurrence of each new element.
+    """
     gens = [tuple(g) for g in generators]
     if not gens:
         raise ValueError("at least one generator required")
@@ -88,23 +109,24 @@ def enumerate_group(generators, bound: int = DEFAULT_BOUND) -> PermGroup:
     for g in gens:
         if len(g) != degree or sorted(g) != list(range(degree)):
             raise ValueError(f"not a permutation of {degree} points: {g}")
-    identity = tuple(range(degree))
-    seen = {identity}
-    frontier = [identity]
-    elements = [identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = _compose(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-                    elements.append(y)
-                    if len(elements) > bound:
-                        raise SizeExceeded(f"group order exceeds bound {bound}")
-        frontier = new
-    return PermGroup(degree, tuple(gens), tuple(elements))
+    dtype = np.min_scalar_type(max(degree - 1, 0))
+    gen_rows = np.array(gens, dtype=dtype)
+    frontier = np.arange(degree, dtype=dtype)[None, :]
+    layers = [frontier]
+    seen = _row_keys(frontier)  # sorted
+    order = 1
+    while len(frontier):
+        candidates = frontier[:, gen_rows].reshape(len(frontier) * len(gens), degree)
+        keys, first = np.unique(_row_keys(candidates), return_index=True)
+        pos = np.searchsorted(seen, keys)
+        new = seen[np.minimum(pos, len(seen) - 1)] != keys
+        frontier = candidates[np.sort(first[new])]
+        seen = np.insert(seen, pos[new], keys[new])
+        layers.append(frontier)
+        order += len(frontier)
+        if len(frontier) and order > bound:  # the identity alone is always allowed
+            raise SizeExceeded(f"group order exceeds bound {bound}")
+    return PermGroup(degree, gen_rows, np.concatenate(layers))
 
 
 @dataclass(frozen=True)
@@ -119,60 +141,74 @@ class ClassData:
 
 
 def conjugacy_classes(group: PermGroup) -> tuple[ClassData, tuple[int, ...], list[list[int]]]:
-    """Class data plus the element -> class map and per-class element lists."""
-    index_of = {x: i for i, x in enumerate(group.elements)}
-    inv_gens = [_inverse(g) for g in group.generators]
+    """Class data plus the element -> class map and per-class element lists.
+
+    Classes are numbered in order of their first element, and each member
+    list is a depth-first walk from it under conjugation by the generators.
+    """
+    elements = group.elements
+    # actions[a][i] = index of g_a^-1 x_i g_a
+    actions = []
+    for g in group.generators:
+        g_inv = np.argsort(g)
+        conjugates = elements[:, g]
+        # relabel the images one column at a time: an index array of the
+        # full order x degree shape would be intp, eight times the elements
+        for c in range(group.degree):
+            conjugates[:, c] = g_inv[conjugates[:, c]]
+        actions.append(group.index_of(conjugates).tolist())
     class_of = [-1] * group.order
     members: list[list[int]] = []
-    reps: list[int] = []
     for start in range(group.order):
         if class_of[start] != -1:
             continue
         cls = len(members)
-        reps.append(start)
         class_of[start] = cls
         orbit = [start]
         queue = [start]
         while queue:
             i = queue.pop()
-            x = group.elements[i]
-            for g, gi in zip(group.generators, inv_gens):
-                j = index_of[_compose(gi, _compose(x, g))]
+            for action in actions:
+                j = action[i]
                 if class_of[j] == -1:
                     class_of[j] = cls
                     orbit.append(j)
                     queue.append(j)
         members.append(orbit)
 
+    identity = elements[0]
+    orders = []
+    powers = []
+    for orbit in members:
+        rep = elements[orbit[0]]
+        acc = rep
+        row = [identity]
+        while not np.array_equal(acc, identity):
+            row.append(acc)
+            acc = acc[rep]
+        orders.append(len(row))
+        powers.append(np.array(row))
+    power_classes = np.array(class_of)[group.index_of(np.concatenate(powers))]
+    power_maps = tuple(
+        tuple(pm.tolist()) for pm in np.split(power_classes, np.cumsum(orders)[:-1])
+    )
     sizes = tuple(len(m) for m in members)
-    orders = tuple(_perm_order(group.elements[r]) for r in reps)
-    power_maps = []
-    for r, o in zip(reps, orders):
-        rep = group.elements[r]
-        acc = tuple(range(group.degree))
-        row = []
-        for _ in range(o):
-            row.append(class_of[index_of[acc]])
-            acc = _compose(acc, rep)
-        power_maps.append(tuple(row))
-    identity_class = class_of[index_of[tuple(range(group.degree))]]
-    data = ClassData(group.order, sizes, orders, tuple(power_maps), identity_class)
+    data = ClassData(group.order, sizes, tuple(orders), power_maps, class_of[0])
     return data, tuple(class_of), members
 
 
 def _class_matrix_builder(group: PermGroup, class_of, members, reps_idx):
-    index_of = {x: i for i, x in enumerate(group.elements)}
+    class_of = np.array(class_of)
+    reps = group.elements[reps_idx]
+    c = len(members)
 
     def build(i: int) -> list[list[int]]:
-        c = len(members)
-        mat = [[0] * c for _ in range(c)]
-        reps = [group.elements[r] for r in reps_idx]
-        for xi in members[i]:
-            x_inv = _inverse(group.elements[xi])
-            for k, z in enumerate(reps):
-                j = class_of[index_of[_compose(x_inv, z)]]
-                mat[j][k] += 1
-        return mat
+        inverses = np.argsort(group.elements[members[i]], axis=1).astype(reps.dtype)
+        # products[a, k] = x_a^-1 z_k for x_a in class i and z_k the k-th rep
+        products = inverses[:, reps]
+        j = class_of[group.index_of(products.reshape(len(members[i]) * c, group.degree))]
+        cells = j * c + np.tile(np.arange(c), len(members[i]))
+        return np.bincount(cells, minlength=c * c).reshape(c, c).tolist()
 
     return build
 
@@ -460,6 +496,11 @@ def table_from_class_data(
 
     inverse_class = [pm[o - 1] if o > 1 else k for k, (pm, o) in enumerate(zip(data.power_maps, data.element_orders))]
     size_inv = [pow(s, -1, rho) for s in data.sizes]
+    # z_powers[o][e] = z_o^e for z_o = z^(exponent/o), a primitive o-th root
+    z_powers = {}
+    for o in set(data.element_orders):
+        z_o = pow(z, exponent // o, rho)
+        z_powers[o] = [pow(z_o, e, rho) for e in range(o)]
     bound = isqrt(data.order)
     rows = []
     for omega in omegas:
@@ -473,16 +514,13 @@ def table_from_class_data(
         values = []
         for k in range(c):
             o = data.element_orders[k]
-            z_o = pow(z, exponent // o, rho)
+            z_pow = z_powers[o]
             inv_o = pow(o, -1, rho)
             terms = []
             total = 0
             for t in range(o):
                 m_t = (
-                    sum(
-                        chi_mod[data.power_maps[k][u]] * pow(z_o, -u * t % o, rho)
-                        for u in range(o)
-                    )
+                    sum(chi_mod[data.power_maps[k][u]] * z_pow[-u * t % o] for u in range(o))
                     * inv_o
                     % rho
                 )

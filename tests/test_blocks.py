@@ -138,11 +138,11 @@ class TestPrincipalBlockCovering:
         s5 = enumerate_group(S5_GENS)
         a5_data, _, a5_members = conjugacy_classes(a5)
         s5_data, s5_class_of, _ = conjugacy_classes(s5)
-        s5_index = {x: i for i, x in enumerate(s5.elements)}
+        s5_index = {tuple(x): i for i, x in enumerate(s5.elements)}
 
         # fusion: A5 class -> S5 class, via an A5 representative inside S5
         fusion_by_class = [
-            s5_class_of[s5_index[a5.elements[members[0]]]] for members in a5_members
+            s5_class_of[s5_index[tuple(a5.elements[members[0]])]] for members in a5_members
         ]
 
         a5_table = dixon_table(a5, "A5")

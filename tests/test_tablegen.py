@@ -1,8 +1,57 @@
-import pytest
+import hashlib
+import time
 
-from blockgraph.chartab import validate
+import perm_oracle
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
+
+from blockgraph.chartab import print_table, validate
 from blockgraph.errors import SizeExceeded
-from blockgraph.tablegen import _poly_roots, conjugacy_classes, dixon_table, enumerate_group
+from blockgraph.tablegen import (
+    _class_matrix_builder,
+    _poly_roots,
+    conjugacy_classes,
+    dixon_table,
+    enumerate_group,
+)
+
+
+def symmetric_generators(n):
+    # the transposition (0 1) and the n-cycle (0 1 ... n-1)
+    return [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]
+
+
+def psl2_generators(p):
+    # x -> x + 1 and x -> -1/x on the projective line, infinity as point p
+    inf = p
+    shift = tuple(inf if x == inf else (x + 1) % p for x in range(p + 1))
+    invert = tuple(0 if x == inf else inf if x == 0 else -pow(x, -1, p) % p for x in range(p + 1))
+    return [shift, invert]
+
+
+def relabel(generators, a, b):
+    # conjugate every generator by the point map x -> a*x + b (mod degree)
+    n = len(generators[0])
+    s = [(a * x + b) % n for x in range(n)]
+    out = []
+    for g in generators:
+        h = [0] * n
+        for x in range(n):
+            h[s[x]] = s[g[x]]
+        out.append(tuple(h))
+    return out
+
+
+@st.composite
+def generator_sets(draw):
+    # uniform permutations: st.permutations stays close to the identity,
+    # which yields mostly tiny groups
+    degree = draw(st.sampled_from(range(1, 8)))
+    count = draw(st.sampled_from((1, 2, 3)))
+    rng = draw(st.randoms(use_true_random=False))
+    return [tuple(rng.sample(range(degree), degree)) for _ in range(count)]
 
 
 class TestEnumerate:
@@ -24,6 +73,22 @@ class TestEnumerate:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             enumerate_group([(0, 0, 1)])
+
+    def test_index_of_rejects_a_non_member(self):
+        group = enumerate_group([(1, 0, 2)])
+        assert group.index_of([(1, 0, 2), (0, 1, 2)]).tolist() == [1, 0]
+        with pytest.raises(ValueError):
+            group.index_of([(0, 2, 1)])
+
+    def test_trivial_group_within_any_bound(self):
+        assert enumerate_group([(0, 1)], bound=0).order == 1
+
+    def test_s12_fails_fast_at_default_bound(self):
+        # S12 has order 12! > 10^6; enumeration must stop at the bound
+        start = time.perf_counter()
+        with pytest.raises(SizeExceeded):
+            enumerate_group(symmetric_generators(12))
+        assert time.perf_counter() - start < 30.0
 
 
 class TestConjugacyClasses:
@@ -48,6 +113,57 @@ class TestConjugacyClasses:
         data, _, _ = conjugacy_classes(group)
         for pm in data.power_maps:
             assert pm[0] == data.identity_class
+
+
+class TestAgainstTupleOracle:
+    """The array layer against the element-at-a-time tuple layer."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(gens=generator_sets())
+    def test_same_elements_classes_and_matrices(self, gens):
+        group = enumerate_group(gens)
+        oracle = perm_oracle.enumerate_group(gens)
+        assert [tuple(x) for x in group.elements.tolist()] == list(oracle.elements)
+
+        data, class_of, members = conjugacy_classes(group)
+        oracle_data, oracle_class_of, oracle_members = perm_oracle.conjugacy_classes(oracle)
+        assert data == oracle_data
+        assert class_of == oracle_class_of
+        assert members == oracle_members
+
+        reps = [m[0] for m in members]
+        build = _class_matrix_builder(group, class_of, members, reps)
+        oracle_build = perm_oracle._class_matrix_builder(oracle, class_of, members, reps)
+        for i in range(len(members)):
+            assert build(i) == oracle_build(i)
+
+        sympy_group = PermutationGroup([Permutation(list(g)) for g in gens])
+        assert sorted(data.sizes) == sorted(len(k) for k in sympy_group.conjugacy_classes())
+
+
+class TestGoldenBytes:
+    """print_table output pinned byte for byte.  Columns of equal element
+    order and class size keep their class discovery order, so these digests
+    also pin the order in which conjugacy_classes finds the classes."""
+
+    @pytest.mark.parametrize(
+        "name, generators, digest",
+        [
+            (
+                "S6",
+                symmetric_generators(6),
+                "49f37959ba08464ceee4f430eec43f3ba37c9c37439c185263b19a7e767e1910",
+            ),
+            (
+                "L2(13)",
+                psl2_generators(13),
+                "c6e12c0d5ed79d61e0ddcbe6773c11b9666e31b45b66ba8fe90a4ee8e1b66baa",
+            ),
+        ],
+    )
+    def test_print_table_digest(self, name, generators, digest):
+        table = dixon_table(enumerate_group(relabel(generators, 5, 3)), name)
+        assert hashlib.sha256(print_table(table).encode()).hexdigest() == digest
 
 
 class TestDixon:
