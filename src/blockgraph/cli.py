@@ -220,12 +220,20 @@ def _cmd_dixon(args) -> int:
         document = json.loads(fh.read().decode("utf-8"))
     if not isinstance(document, dict) or "generators" not in document:
         raise CycParseError("permutation group document needs a 'generators' key")
-    generators = [tuple(g) for g in document["generators"]]
+    raw = document["generators"]
+    if not isinstance(raw, list) or not all(
+        isinstance(g, list) and all(type(x) is int for x in g) for g in raw
+    ):
+        raise CycParseError("'generators' must be a list of lists of integers")
+    name = document.get("name", "G")
+    if not isinstance(name, str):
+        raise CycParseError("'name' must be a string")
+    generators = [tuple(g) for g in raw]
     degree = document.get("degree", len(generators[0]) if generators else 0)
     if any(len(g) != degree for g in generators):
         raise CycParseError("generator length does not match the stated degree")
     group = enumerate_group(generators, bound=args.bound)
-    table = dixon_table(group, document.get("name", "G"))
+    table = dixon_table(group, name)
     sys.stdout.write(print_table(table))
     return EXIT_OK
 

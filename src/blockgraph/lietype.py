@@ -1,11 +1,16 @@
 """Number theory of the finite simple groups of Lie type.
 
-Covers the 16 families: group orders (both as a closed form and as a
-product of cyclotomic polynomial values, kept consistent by tests),
-Zsigmondy primes, the cyclotomic index e_ell(q), regular numbers, the
-maximal-torus data table used for Sylow normalizer arguments, and the
-predicate deciding when the Steinberg character lies in a principal
-ell-block (exactly when e_ell(q) is a regular number).
+Covers the 16 families: group orders, Zsigmondy primes, the cyclotomic
+index e_ell(q), regular numbers, the maximal-torus data table used for
+Sylow normalizer arguments, and the predicate deciding when the Steinberg
+character lies in a principal ell-block (exactly when e_ell(q) is a
+regular number).
+
+Orders: |S| = q^N prod Phi_e(q)^{m_e} / d, where the generic order is
+described once, by the (degree, +-1 twist) pairs of weyl_degrees, or by a
+Phi_e table for 3D4, 2B2, 2F4 and 2G2.  The multiplicities m_e are derived
+from the pairs; the value is plain integer arithmetic, and the
+factorization factors each Phi_e(q) on its own.
 
 Regular numbers: for untwisted families the degree/codegree counting
 criterion is evaluated directly on the Weyl degrees; for the twisted
@@ -43,7 +48,6 @@ __all__ = [
     "lie_group",
     "Factored",
     "group_order",
-    "generic_order_value",
     "e_of",
     "zsigmondy",
     "is_regular",
@@ -148,7 +152,8 @@ _EXCEPTIONAL_DEGREES = {
 
 def weyl_degrees(family: str, rank: int) -> tuple[tuple[int, int], ...]:
     """(degree, twist eigenvalue) pairs; twists are +-1.  3D4 and the very
-    twisted families are excluded (their regularity needs no degrees)."""
+    twisted families are excluded: their regularity needs no degrees, and
+    their orders come from a Phi_e table."""
     if family == "A" or family == "2A":
         sign = -1 if family == "2A" else 1
         return tuple((d, sign**d if sign == -1 else 1) for d in range(2, rank + 2))
@@ -178,124 +183,46 @@ def positive_roots(family: str, rank: int) -> int:
 
 def center_index(family: str, rank: int, q: int) -> int:
     """|Z| of the simply connected group, i.e. the diagonal index |A0 : S|."""
-    n = rank
-    return {
-        "A": gcd(n + 1, q - 1), "2A": gcd(n + 1, q + 1),
-        "B": gcd(2, q - 1), "C": gcd(2, q - 1),
-        "D": gcd(4, q**n - 1), "2D": gcd(4, q**n + 1),
-        "E6": gcd(3, q - 1), "2E6": gcd(3, q + 1), "E7": gcd(2, q - 1),
-    }.get(family, 1)
-
-
-def _order_simply_connected(family: str, rank: int, q: int) -> int:
-    n = rank
-    qn = q ** positive_roots(family, rank)
     if family == "A":
-        prod = 1
-        for i in range(2, n + 2):
-            prod *= q**i - 1
-        return qn * prod
+        return gcd(rank + 1, q - 1)
     if family == "2A":
-        prod = 1
-        for i in range(2, n + 2):
-            prod *= q**i - (-1) ** i
-        return qn * prod
-    if family in ("B", "C"):
-        prod = 1
-        for i in range(1, n + 1):
-            prod *= q ** (2 * i) - 1
-        return qn * prod
-    if family in ("D", "2D"):
-        prod = q**n - 1 if family == "D" else q**n + 1
-        for i in range(1, n):
-            prod *= q ** (2 * i) - 1
-        return qn * prod
-    if family in _EXCEPTIONAL_DEGREES:
-        prod = 1
-        for d in _EXCEPTIONAL_DEGREES[family]:
-            prod *= q**d - 1
-        return qn * prod
+        return gcd(rank + 1, q + 1)
+    if family in ("B", "C", "E7"):
+        return gcd(2, q - 1)
+    if family == "D":
+        return gcd(4, pow(q, rank, 4) - 1)
+    if family == "2D":
+        return gcd(4, pow(q, rank, 4) + 1)
+    if family == "E6":
+        return gcd(3, q - 1)
     if family == "2E6":
-        prod = 1
-        for d in _EXCEPTIONAL_DEGREES["E6"]:
-            prod *= q**d - (-1 if d % 2 else 1)
-        return qn * prod
-    if family == "3D4":
-        return qn * (q**2 - 1) * (q**6 - 1) * (q**8 + q**4 + 1)
-    if family == "2B2":
-        return q**2 * (q**2 + 1) * (q - 1)
-    if family == "2F4":
-        return q**12 * (q**6 + 1) * (q**4 - 1) * (q**3 + 1) * (q - 1)
-    if family == "2G2":
-        return q**3 * (q**3 + 1) * (q - 1)
-    raise ValueError(f"no order formula for {family}")
+        return gcd(3, q + 1)
+    return 1
+
+
+# Phi_e multiplicities of the families that have no weyl_degrees pairs.
+_PHI_EXPONENTS = {
+    "3D4": {1: 2, 2: 2, 3: 2, 6: 2, 12: 1},
+    "2B2": {1: 1, 4: 1},
+    "2F4": {1: 2, 2: 2, 4: 2, 6: 1, 12: 1},
+    "2G2": {1: 1, 2: 1, 6: 1},
+}
 
 
 def _cyclotomic_exponents(family: str, rank: int) -> dict[int, int]:
-    """Multiplicity of each Phi_e in the generic order (x-power excluded)."""
+    """Multiplicity m_e of each Phi_e in the generic order (x-power excluded).
 
+    x^d - 1 is the product of Phi_e over e | d, and x^d + 1 the product
+    over e | 2d with e not dividing d."""
+    if family in _PHI_EXPONENTS:
+        return dict(_PHI_EXPONENTS[family])
     mult: dict[int, int] = {}
-
-    def times_x_power_minus_one(i: int) -> None:
-        for d in range(1, i + 1):
-            if i % d == 0:
-                mult[d] = mult.get(d, 0) + 1
-
-    def times_x_power_plus_one(i: int) -> None:
-        for d in range(1, 2 * i + 1):
-            if 2 * i % d == 0 and i % d:
-                mult[d] = mult.get(d, 0) + 1
-
-    n = rank
-    if family in ("A", "2A"):
-        for i in range(2, n + 2):
-            if family == "A" or i % 2 == 0:
-                times_x_power_minus_one(i)
-            else:
-                times_x_power_plus_one(i)
-    elif family in ("B", "C"):
-        for i in range(1, n + 1):
-            times_x_power_minus_one(2 * i)
-    elif family in ("D", "2D"):
-        for i in range(1, n):
-            times_x_power_minus_one(2 * i)
-        if family == "D":
-            times_x_power_minus_one(n)
-        else:
-            times_x_power_plus_one(n)
-    elif family in _EXCEPTIONAL_DEGREES:
-        for d in _EXCEPTIONAL_DEGREES[family]:
-            times_x_power_minus_one(d)
-    elif family == "2E6":
-        for d in _EXCEPTIONAL_DEGREES["E6"]:
-            if d % 2:
-                times_x_power_plus_one(d)
-            else:
-                times_x_power_minus_one(d)
-    elif family == "3D4":
-        times_x_power_minus_one(2)
-        times_x_power_minus_one(6)
-        for d, m in ((3, 1), (6, 1), (12, 1)):
-            mult[d] = mult.get(d, 0) + m
-    elif family == "2B2":
-        mult.update({1: 1, 4: 1})
-    elif family == "2F4":
-        mult.update({1: 2, 2: 2, 4: 2, 6: 1, 12: 1})
-    elif family == "2G2":
-        mult.update({1: 1, 2: 1, 6: 1})
+    for d, eps in weyl_degrees(family, rank):
+        top = d if eps == 1 else 2 * d
+        for e in range(1, top + 1):
+            if top % e == 0 and (eps == 1 or d % e):
+                mult[e] = mult.get(e, 0) + 1
     return mult
-
-
-def generic_order_value(group: GenericLieGroup) -> int:
-    """|S| computed through the cyclotomic-polynomial product route."""
-    q = group.q
-    value = q ** positive_roots(group.family, group.rank)
-    for e, m in _cyclotomic_exponents(group.family, group.rank).items():
-        value *= cyclotomic_polynomial(e)(q) ** m
-    d = center_index(group.family, group.rank, q)
-    if value % d:
-        raise ArithmeticError("center index does not divide the generic order")
-    return value // d
 
 
 @dataclass(frozen=True)
@@ -305,18 +232,35 @@ class Factored:
 
 
 def _order_value(group: GenericLieGroup) -> int:
-    """|S|: the simply-connected order divided by the center index."""
-    sc = _order_simply_connected(group.family, group.rank, group.q)
-    d = center_index(group.family, group.rank, group.q)
-    if sc % d:
+    """|S| = q^N prod (q^d - eps) / d, in plain integer arithmetic."""
+    family, rank, q = group.family, group.rank, group.q
+    value = q ** positive_roots(family, rank)
+    if family in _PHI_EXPONENTS:
+        for e, m in _PHI_EXPONENTS[family].items():
+            value *= cyclotomic_polynomial(e)(q) ** m
+    else:
+        for d, eps in weyl_degrees(family, rank):
+            value *= q**d - eps
+    d = center_index(family, rank, q)
+    if value % d:
         raise ArithmeticError("center index does not divide the group order")
-    return sc // d
+    return value // d
 
 
 def group_order(group: GenericLieGroup) -> Factored:
-    """|S| with its prime factorization."""
-    value = _order_value(group)
-    return Factored(value, factorize(value))
+    """|S| with its prime factorization.
+
+    Each Phi_e(q) is factored on its own and its exponents scaled by m_e;
+    the whole product can be far beyond Pollard rho.  Distinct e can give
+    the same value (Phi_2(2) = Phi_6(2) = 3), so nothing is keyed by it."""
+    family, rank, q = group.family, group.rank, group.q
+    factors = {group.p: group.f * positive_roots(family, rank)}
+    for e, m in _cyclotomic_exponents(family, rank).items():
+        for r, k in factorize(cyclotomic_polynomial(e)(q)).items():
+            factors[r] = factors.get(r, 0) + k * m
+    for r, k in factorize(center_index(family, rank, q)).items():
+        factors[r] -= k
+    return Factored(_order_value(group), {r: k for r, k in sorted(factors.items()) if k})
 
 
 # -- e_ell(q), Zsigmondy primes ------------------------------------------------

@@ -1,10 +1,12 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+import sympy
 
 import blockgraph
 from blockgraph.cli import run
@@ -140,6 +142,23 @@ class TestLieTypeCommands:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["ell"] == 3
 
+    @pytest.mark.parametrize("family,rank", [("F4", 4), ("E7", 7)])
+    def test_order_at_large_q_is_fast(self, family, rank):
+        # each Phi_e(65537) is factored on its own, never the whole product
+        src = str(Path(blockgraph.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "blockgraph", "order", "--family", family,
+             "--rank", str(rank), "--q", "65537"],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert done.returncode == 0, done.stderr
+        doc = json.loads(done.stdout)
+        factors = {int(r): k for r, k in doc["factorization"].items()}
+        assert math.prod(r**k for r, k in factors.items()) == doc["order"]
+        assert all(sympy.isprime(r) for r in factors)
+
     def test_descriptor_error_exit_3(self, capsys):
         code, _, err = invoke(capsys, "order", "--family", "A", "--rank", "1", "--q", "2")
         assert code == 3 and err
@@ -161,6 +180,17 @@ class TestDixonCommand:
         doc.write_text(json.dumps({"degree": 3}))
         code, _, err = invoke(capsys, "dixon", str(doc))
         assert code == 3 and err
+
+    @pytest.mark.parametrize("document", [
+        {"generators": 5},
+        {"generators": [[0, "a"]]},
+        {"generators": [[1, 0]], "name": 7},
+    ])
+    def test_malformed_document_exit_3(self, capsys, tmp_path, document):
+        doc = tmp_path / "bad.json"
+        doc.write_text(json.dumps(document))
+        code, out, err = invoke(capsys, "dixon", str(doc))
+        assert code == 3 and out == "" and err
 
 
 class TestCorpusOverride:

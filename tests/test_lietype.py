@@ -1,4 +1,7 @@
+import math
+
 import pytest
+import sympy
 
 from blockgraph._numtheory import multiplicative_order, prime_divisors_of
 from blockgraph.errors import (
@@ -13,7 +16,6 @@ from blockgraph.lietype import (
     FAMILIES,
     count_criterion_regular,
     e_of,
-    generic_order_value,
     group_order,
     is_regular,
     lie_group,
@@ -23,6 +25,7 @@ from blockgraph.lietype import (
     zsigmondy,
     zsigmondy_prime_of_Te,
 )
+from lie_oracle import oracle_order
 
 FIXED_RANKS = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2,
                "2E6": 6, "3D4": 4, "2B2": 2, "2F4": 4, "2G2": 2}
@@ -72,8 +75,23 @@ class TestOrders:
         }
         for family, points in samples.items():
             for rank, q in points:
-                group = lie_group(family, rank, q)
-                assert generic_order_value(group) == group_order(group).value, (family, rank, q)
+                factored = group_order(lie_group(family, rank, q))
+                assert factored.value == oracle_order(family, rank, q), (family, rank, q)
+                assert math.prod(r**k for r, k in factored.factors.items()) == factored.value
+
+    # q = 2 is where Phi_1(2) = 1 and Phi_2(2) = Phi_6(2) = 3
+    @pytest.mark.parametrize("family,rank,qs", [
+        ("A", 3, (2, 3, 4, 8)), ("B", 3, (2, 3, 4, 8)), ("C", 3, (2, 3, 4, 8)),
+        ("D", 4, (2, 3, 4, 8)), ("2A", 5, (2, 3, 4, 8)), ("2D", 4, (2, 3, 4, 8)),
+        ("E6", 6, (2, 3, 4, 8)), ("E7", 7, (2, 3, 4, 8)), ("E8", 8, (2, 3, 4, 8)),
+        ("F4", 4, (2, 3, 4, 8)), ("G2", 2, (3, 4, 8)), ("2E6", 6, (2, 3, 4, 8)),
+        ("3D4", 4, (2, 3, 4, 8)), ("2B2", 2, (8, 32)), ("2F4", 4, (8, 32)),
+        ("2G2", 2, (27, 243)),
+    ])
+    def test_factors_match_sympy(self, family, rank, qs):
+        for q in qs:
+            factored = group_order(lie_group(family, rank, q))
+            assert factored.factors == sympy.factorint(factored.value), (family, rank, q)
 
 
 class TestDescriptors:
