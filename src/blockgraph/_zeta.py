@@ -8,10 +8,12 @@ needed is the p-th cyclotomic relation inside one component:
 
     zeta^{(p-1)p^{a-1} + r} = -(zeta^r + zeta^{p^{a-1}+r} + ... )
 
-which keeps all work proportional to the number of nonzero terms.  This is
-what makes long orthogonality sums over large-exponent groups cheap: the
-dense power basis mod Phi_n is only materialized for stored canonical values
-at their (small) minimal conductors.
+which keeps all work proportional to the number of nonzero terms.  The
+validator works in this basis directly: it converts each table value once to
+the lcm M of the table's conductors and sums every orthogonality relation
+there with mul.  The dense power basis mod Phi_n is only materialized for
+canonical values at their minimal conductors, by expand, which is one long
+division by Phi_n.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from ._numtheory import factorize
-from .intpoly import cyclotomic_polynomial
+from .intpoly import IntPolynomial, cyclotomic_polynomial
 
 
 class Component(NamedTuple):
@@ -84,41 +86,16 @@ def normalize_monomials(n: int, monomials: dict[int, int]) -> dict[tuple[int, ..
     return out
 
 
-def embed(src_n: int, tensor: dict, dst_n: int, out: dict | None = None, scale: int = 1) -> dict:
-    """Re-key a basis dict from conductor src_n into dst_n (src_n | dst_n)."""
-    if dst_n % src_n:
-        raise ValueError("embed target must be a multiple of the source conductor")
-    src = components(src_n)
-    dst = components(dst_n)
-    slot = {c.prime: i for i, c in enumerate(dst)}
-    moves = []
-    for i, c in enumerate(src):
-        j = slot[c.prime]
-        moves.append((i, j, dst[j].power // c.power))
+def mul(n: int, a: dict, b: dict, out: dict | None = None, scale: int = 1) -> dict:
+    """Product of two basis dicts at the same conductor n, times scale and
+    added into out when it is given."""
+    comps = components(n)
     if out is None:
         out = {}
-    zero = (0,) * len(dst)
-    for key, coeff in tensor.items():
-        new = list(zero)
-        for i, j, stretch in moves:
-            new[j] = key[i] * stretch
-        new_key = tuple(new)
-        val = out.get(new_key, 0) + scale * coeff
-        if val:
-            out[new_key] = val
-        else:
-            out.pop(new_key, None)
-    return out
-
-
-def mul(n: int, a: dict, b: dict) -> dict:
-    """Product of two basis dicts at the same conductor n."""
-    comps = components(n)
-    out: dict[tuple[int, ...], int] = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
             key = tuple((x + y) % c.power for x, y, c in zip(ka, kb, comps))
-            _reduce_into(out, n, key, ca * cb)
+            _reduce_into(out, n, key, scale * ca * cb)
     return out
 
 
@@ -153,62 +130,11 @@ def descend(n: int, tensor: dict) -> tuple[int, dict]:
         comps = list(components(n))
 
 
-_ROW_CACHE_LIMIT = 512  # above this, per-conductor row tables get too large
-
-
-@lru_cache(maxsize=128)
-def _monomial_rows(n: int) -> list[tuple[int, ...]]:
-    # rows[j - phi] = power-basis coordinates of x^j mod Phi_n, phi <= j < n.
-    phi_poly = cyclotomic_polynomial(n)
-    phi = phi_poly.degree
-    base = tuple(-c for c in phi_poly.coeffs[:phi])
-    rows = [base]
-    for _ in range(phi, n - 1):
-        prev = rows[-1]
-        top = prev[phi - 1]
-        row = (top * base[0],) + tuple(prev[i - 1] + top * base[i] for i in range(1, phi))
-        rows.append(row)
-    return rows
-
-
-def _divide_out(n: int, monomials: list[tuple[int, int]], phi: int) -> list[int]:
-    # plain long division of a degree < n polynomial by Phi_n
-    dense = [0] * n
-    for e, coeff in monomials:
-        dense[e] += coeff
-    support = [(i, c) for i, c in enumerate(cyclotomic_polynomial(n).coeffs[:phi]) if c]
-    for top in range(n - 1, phi - 1, -1):
-        c = dense[top]
-        if c:
-            dense[top] = 0
-            offset = top - phi
-            for i, d in support:
-                dense[offset + i] -= c * d
-    return dense[:phi]
-
-
 def expand(n: int, tensor: dict) -> tuple[int, ...]:
     """Dense power-basis coefficients (length phi(n)) of a basis dict."""
-    if n == 1:
-        return (tensor.get((), 0),)
-    phi = cyclotomic_polynomial(n).degree
-    dense = [0] * phi
-    overflow = []
-    rows = None
+    phi_n = cyclotomic_polynomial(n)
+    dense = [0] * n
     for key, coeff in tensor.items():
-        e = recompose(n, key)
-        if e < phi:
-            dense[e] += coeff
-        elif n > _ROW_CACHE_LIMIT:
-            overflow.append((e, coeff))
-        else:
-            if rows is None:
-                rows = _monomial_rows(n)
-            row = rows[e - phi]
-            for i in range(phi):
-                if row[i]:
-                    dense[i] += coeff * row[i]
-    if overflow:
-        for i, c in enumerate(_divide_out(n, overflow, phi)):
-            dense[i] += c
-    return tuple(dense)
+        dense[recompose(n, key)] += coeff
+    rem = IntPolynomial(dense).divmod(phi_n)[1].coeffs
+    return rem + (0,) * (phi_n.degree - len(rem))

@@ -17,9 +17,12 @@ character table: both orthogonality relations hold exactly, central
 characters are algebraic integers, and every value lies in the cyclotomic
 field of its class's element order.
 
-Long orthogonality sums are evaluated through the sparse prime-power
-engine, never at a dense common conductor; this is what keeps tables with
-large exponents (the sporadic-group entries in the corpus) quick to check.
+The validator converts every value once into the sparse prime-power basis
+of _zeta at M, the lcm of the table's value conductors, takes complex
+conjugates there, and sums each orthogonality relation as one dict of basis
+terms, which must equal the expected integer term for term.  No sum is ever
+expanded densely at M; this is what keeps tables with large exponents (the
+sporadic-group entries in the corpus) quick to check.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from math import lcm
 
 from . import _zeta
 from ._numtheory import prime_divisors_of
-from .cyclotomic import Cyclotomic, conjugate, cyc_div_by_int, parse_cyclotomic
-from .errors import CycParseError, NotAlgebraicInteger, ValidationError
+from .cyclotomic import Cyclotomic, parse_cyclotomic
+from .errors import CycParseError, ValidationError
 
 __all__ = [
     "ConjClass",
@@ -75,6 +78,11 @@ def _value_key(v: Cyclotomic):
     return (v.conductor, v.coeffs)
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_value(entry) -> Cyclotomic:
     if isinstance(entry, bool):
         raise CycParseError("boolean is not a character value")
@@ -111,9 +119,10 @@ def parse_table(document) -> CharacterTable:
     provenance = document.get("provenance")
     if (
         not isinstance(name, str)
-        or not isinstance(order, int)
+        or not _is_int(order)
         or not isinstance(raw_classes, list)
         or not isinstance(raw_irr, list)
+        or not isinstance(provenance, (str, type(None)))
     ):
         raise CycParseError("table fields have the wrong types")
 
@@ -121,10 +130,16 @@ def parse_table(document) -> CharacterTable:
     for entry in raw_classes:
         if not isinstance(entry, dict) or not {"size", "order"} <= set(entry):
             raise CycParseError(f"bad class entry {entry!r}")
-        size, elt_order = entry["size"], entry["order"]
-        if not isinstance(size, int) or not isinstance(elt_order, int) or size < 1 or elt_order < 1:
+        size, elt_order, label = entry["size"], entry["order"], entry.get("label")
+        if (
+            not _is_int(size)
+            or not _is_int(elt_order)
+            or size < 1
+            or elt_order < 1
+            or not isinstance(label, (str, type(None)))
+        ):
             raise CycParseError(f"bad class entry {entry!r}")
-        classes.append(ConjClass(size, elt_order, entry.get("label")))
+        classes.append(ConjClass(size, elt_order, label))
 
     n = len(classes)
     if len(raw_irr) != n or any(not isinstance(row, list) or len(row) != n for row in raw_irr):
@@ -177,32 +192,30 @@ def _canonicalize(name, order, classes, irr, provenance) -> CharacterTable:
     )
 
 
-def _sum_equals(terms, expected: int) -> bool:
-    """Exact test of sum(scale * value) == expected over mixed conductors."""
-    big = lcm(*(v.conductor for _, v in terms))
-    acc: dict = {}
-    for scale, v in terms:
-        if scale == 0 or v.is_zero():
-            continue
-        tensor = _zeta.normalize_monomials(v.conductor, v.monomials())
-        _zeta.embed(v.conductor, tensor, big, out=acc, scale=scale)
-    if not acc:
-        return expected == 0
-    zero_key = (0,) * len(_zeta.components(big))
-    return acc == {zero_key: expected}
-
-
 def validate(table: CharacterTable) -> list[str]:
     """All violated relations, empty when the table is a character table."""
     violations: list[str] = []
     n = table.num_classes
     order = table.group_order
+    sizes = [c.size for c in table.classes]
 
-    if sum(c.size for c in table.classes) != order:
+    # Every relation is summed in the prime-power basis at one conductor M,
+    # where an integer m is the single term {zero_key: m}.
+    big = lcm(*(v.conductor for row in table.irr for v in row))
+    zero_key = (0,) * len(_zeta.components(big))
+    rows = [[v.tensor(big) for v in row] for row in table.irr]
+    conj_rows = [[_zeta.galois(big, t, -1) for t in row] for row in rows]
+
+    def equals(products, expected: int) -> bool:
+        acc: dict = {}
+        for scale, a, b in products:
+            _zeta.mul(big, a, b, out=acc, scale=scale)
+        return acc == ({zero_key: expected} if expected else {})
+
+    if sum(sizes) != order:
         violations.append("size-sum")
 
-    degree_sq = [row[0] * row[0] for row in table.irr]
-    if not _sum_equals([(1, v) for v in degree_sq], order):
+    if not equals([(1, row[0], row[0]) for row in rows], order):
         violations.append("degree-sum")
 
     for r, row in enumerate(table.irr):
@@ -210,24 +223,20 @@ def validate(table: CharacterTable) -> list[str]:
             if table.classes[k].element_order % value.conductor:
                 violations.append(f"conductor(row {r}, class {k})")
 
-    conj_rows = [tuple(conjugate(v) for v in row) for row in table.irr]
-
     for r in range(n):
         for s in range(r, n):
-            terms = [
-                (table.classes[k].size, table.irr[r][k] * conj_rows[s][k]) for k in range(n)
-            ]
-            if not _sum_equals(terms, order if r == s else 0):
+            products = [(sizes[k], rows[r][k], conj_rows[s][k]) for k in range(n)]
+            if not equals(products, order if r == s else 0):
                 violations.append(f"row-orthogonality({r},{s})")
 
     for k in range(n):
         for l in range(k, n):
-            if k == l and order % table.classes[k].size:
+            if k == l and order % sizes[k]:
                 violations.append(f"column-orthogonality({k},{l})")
                 continue
-            expected = order // table.classes[k].size if k == l else 0
-            terms = [(1, table.irr[r][k] * conj_rows[r][l]) for r in range(n)]
-            if not _sum_equals(terms, expected):
+            expected = order // sizes[k] if k == l else 0
+            products = [(1, rows[r][k], conj_rows[r][l]) for r in range(n)]
+            if not equals(products, expected):
                 violations.append(f"column-orthogonality({k},{l})")
 
     for r, row in enumerate(table.irr):
@@ -237,9 +246,9 @@ def validate(table: CharacterTable) -> list[str]:
             continue
         d = degree.as_int()
         for k, value in enumerate(row):
-            try:
-                cyc_div_by_int(table.classes[k].size * value, d)
-            except NotAlgebraicInteger:
+            # |K| chi(g) / chi(1) is integral exactly when d divides every
+            # power-basis coefficient of |K| chi(g)
+            if any(sizes[k] * c % d for c in value.coeffs):
                 violations.append(f"central-character-integrality(row {r}, class {k})")
     return violations
 

@@ -5,7 +5,7 @@ of the power basis 1, zeta, ..., zeta^(phi(n)-1), i.e. reduced mod Phi_n.
 Rational integers always live at conductor 1.  All construction funnels
 through the sparse prime-power engine in _zeta, which performs the
 reduction, finds the minimal conductor, and only then expands to the dense
-form, so no arithmetic ever divides by a large Phi_n.
+form, so the only division by Phi_n is at the minimal conductor.
 """
 
 from __future__ import annotations
@@ -55,6 +55,10 @@ class Cyclotomic:
     def monomials(self) -> dict[int, int]:
         return {e: c for e, c in enumerate(self.coeffs) if c}
 
+    def tensor(self, n: int) -> dict[tuple[int, ...], int]:
+        """Prime-power basis dict (see _zeta) at a multiple n of the conductor."""
+        return _zeta.normalize_monomials(n, _scaled_monomials(self, n))
+
     def __add__(self, other):
         other = _coerce(other)
         n = lcm(self.conductor, other.conductor)
@@ -84,9 +88,7 @@ class Cyclotomic:
         if self.is_rational():
             return other * self
         n = lcm(self.conductor, other.conductor)
-        a = _zeta.normalize_monomials(n, _scaled_monomials(self, n))
-        b = _zeta.normalize_monomials(n, _scaled_monomials(other, n))
-        n0, tensor = _zeta.descend(n, _zeta.mul(n, a, b))
+        n0, tensor = _zeta.descend(n, _zeta.mul(n, self.tensor(n), other.tensor(n)))
         return Cyclotomic(n0, _zeta.expand(n0, tensor))
 
     __rmul__ = __mul__
@@ -181,7 +183,7 @@ def galois(a: Cyclotomic, k: int) -> Cyclotomic:
     n = a.conductor
     if gcd(k, n) != 1:
         raise ValueError(f"{k} is not invertible mod {n}")
-    tensor = _zeta.galois(n, _zeta.normalize_monomials(n, a.monomials()), k % n)
+    tensor = _zeta.galois(n, a.tensor(n), k % n)
     n0, tensor = _zeta.descend(n, tensor)
     return Cyclotomic(n0, _zeta.expand(n0, tensor))
 

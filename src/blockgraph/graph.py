@@ -38,9 +38,6 @@ class BlockGraph:
     def witness(self, p: int, q: int) -> int:
         return self.witnesses[self.edges.index(tuple(sorted((p, q))))]
 
-    def neighbours(self, p: int) -> tuple[int, ...]:
-        return tuple(q for q in self.vertices if q != p and self.has_edge(p, q))
-
 
 def build_block_graph(table: CharacterTable) -> BlockGraph:
     """Block graph of the table's group."""

@@ -72,12 +72,13 @@ class IntPolynomial:
             raise ValueError("division only implemented for unit leading coefficient")
         rem = list(self.coeffs)
         dd = divisor.degree
+        support = [(j, c) for j, c in enumerate(divisor.coeffs) if c]
         quot = [0] * max(0, len(rem) - dd)
         for i in range(len(rem) - dd - 1, -1, -1):
             q = rem[i + dd] * lead
             if q:
                 quot[i] = q
-                for j, c in enumerate(divisor.coeffs):
+                for j, c in support:
                     rem[i + j] -= q * c
         return IntPolynomial(quot), IntPolynomial(rem)
 

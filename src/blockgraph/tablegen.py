@@ -267,36 +267,6 @@ def _sqrt_mod(a: int, rho: int) -> int:
 def _poly_roots(f: list[int], rho: int) -> list[int]:
     """Distinct roots in F_rho of a polynomial splitting over F_rho."""
 
-    def poly_mod(a, b):
-        b_lead_inv = pow(b[-1], -1, rho)
-        a = a[:]
-        while len(a) >= len(b) and any(a):
-            c = a[-1] * b_lead_inv % rho
-            if c:
-                off = len(a) - len(b)
-                for i in range(len(b)):
-                    a[off + i] = (a[off + i] - c * b[i]) % rho
-            while a and a[-1] == 0:
-                a.pop()
-        return a
-
-    def poly_gcd(a, b):
-        a, b = a[:], b[:]
-        while b and any(b):
-            a, b = b, poly_mod(a, b)
-        return a
-
-    def pow_x_mod(e, f):
-        # x^e mod f by square and multiply over F_rho
-        result = [1]
-        base = [0, 1] if len(f) > 2 else poly_mod([0, 1], f)
-        while e:
-            if e & 1:
-                result = poly_mod(_poly_mul(result, base), f)
-            base = poly_mod(_poly_mul(base, base), f)
-            e >>= 1
-        return result
-
     def _poly_mul(a, b):
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
@@ -305,14 +275,43 @@ def _poly_roots(f: list[int], rho: int) -> list[int]:
                     out[i + j] = (out[i + j] + ca * cb) % rho
         return out
 
+    def _poly_divmod(a, b):
+        # long division over F_rho; the remainder has no trailing zeros
+        inv = pow(b[-1], -1, rho)
+        rem = a[:]
+        quot = [0] * max(0, len(a) - len(b) + 1)
+        for i in range(len(quot) - 1, -1, -1):
+            c = rem[i + len(b) - 1] * inv % rho
+            quot[i] = c
+            if c:
+                for j, d in enumerate(b):
+                    rem[i + j] = (rem[i + j] - c * d) % rho
+        while rem and rem[-1] == 0:
+            rem.pop()
+        return quot, rem
+
+    def _pow_mod(base, e, f):
+        # base^e mod f by square and multiply
+        result = [1]
+        while e:
+            if e & 1:
+                result = _poly_divmod(_poly_mul(result, base), f)[1]
+            base = _poly_divmod(_poly_mul(base, base), f)[1]
+            e >>= 1
+        return result
+
+    def poly_gcd(a, b):
+        while any(b):
+            a, b = b, _poly_divmod(a, b)[1]
+        return a
+
     f = [c % rho for c in f]
     while f and f[-1] == 0:
         f.pop()
     if len(f) <= 1:
         return []
     # keep only distinct linear factors: gcd(x^rho - x, f)
-    xr = pow_x_mod(rho, f)
-    xr_minus_x = xr[:] + [0] * max(0, 2 - len(xr))
+    xr_minus_x = _pow_mod([0, 1], rho, f) + [0, 0]
     xr_minus_x[1] = (xr_minus_x[1] - 1) % rho
     while xr_minus_x and xr_minus_x[-1] == 0:
         xr_minus_x.pop()
@@ -331,39 +330,16 @@ def _poly_roots(f: list[int], rho: int) -> list[int]:
         a = 0
         while True:
             # gcd with (x+a)^((rho-1)/2) - 1 splits the roots on average
-            base = [a % rho, 1]
-            power = [1]
-            e = (rho - 1) // 2
-            b = base
-            while e:
-                if e & 1:
-                    power = poly_mod(_poly_mul(power, b), h)
-                b = poly_mod(_poly_mul(b, b), h)
-                e >>= 1
-            power = power[:] + [0] * max(0, 1 - len(power))
+            power = _pow_mod([a % rho, 1], (rho - 1) // 2, h) or [0]
             power[0] = (power[0] - 1) % rho
             split = poly_gcd(h, power)
             if 1 < len(split) < len(h):
                 split = [c * pow(split[-1], -1, rho) % rho for c in split]
                 stack.append(split)
-                quotient = _poly_quotient(h, split, rho)
-                stack.append(quotient)
+                stack.append(_poly_divmod(h, split)[0])
                 break
             a += 1
     return sorted(roots)
-
-
-def _poly_quotient(a: list[int], b: list[int], rho: int) -> list[int]:
-    a = a[:]
-    quot = [0] * (len(a) - len(b) + 1)
-    inv = pow(b[-1], -1, rho)
-    for i in range(len(quot) - 1, -1, -1):
-        c = a[i + len(b) - 1] * inv % rho
-        quot[i] = c
-        if c:
-            for j in range(len(b)):
-                a[i + j] = (a[i + j] - c * b[j]) % rho
-    return quot
 
 
 def _charpoly(a: list[list[int]], rho: int) -> list[int]:

@@ -100,6 +100,21 @@ class TestValidateCommand:
         code, _, err = invoke(capsys, "validate", str(bad))
         assert code == 3 and err
 
+    @pytest.mark.parametrize("command", ["validate", "graph", "blocks"])
+    @pytest.mark.parametrize("document", [
+        {"name": "C1", "order": True, "classes": [{"size": True, "order": True}], "irr": [[1]]},
+        {"name": "C1", "order": 1, "classes": [{"size": 1, "order": 1, "label": ["1a"]}],
+         "irr": [[1]]},
+        {"name": "C1", "order": 1, "classes": [{"size": 1, "order": 1}], "irr": [[1]],
+         "provenance": {"source": "x"}},
+    ])
+    def test_malformed_field_exit_3(self, capsys, tmp_path, command, document):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        argv = [command, str(bad)] + (["-p", "2"] if command == "blocks" else [])
+        code, out, err = invoke(capsys, *argv)
+        assert code == 3 and out == "" and err
+
     def test_missing_file_exit_3(self, capsys):
         code, _, err = invoke(capsys, "graph", "no-such-table")
         assert code == 3 and "neither" in err

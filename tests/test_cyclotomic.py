@@ -69,7 +69,7 @@ class TestMake:
         assert cyc_make(5, [(-1, 1)]) == zeta(5, 4)
 
     def test_large_conductor_expansion(self):
-        # conductor above the reduction row-cache limit, exponent above phi(n)
+        # exponent above phi(n), so expansion divides by Phi_1155
         v = cyc_make(1155, [(1154, 1)])
         assert v.conductor == 1155
         assert v * zeta(1155, 1) == rational(1)
@@ -104,8 +104,7 @@ class TestRingOps:
         # independent oracle: multiply power-basis polynomials and reduce
         # modulo Phi_n by long division over Z
         rng = random.Random(11)
-        for _ in range(40):
-            n = rng.randrange(2, 30)
+        for n in [rng.randrange(2, 30) for _ in range(40)] + [513, 585, 1155, 2310]:
             a = cyc_make(n, [(rng.randrange(n), rng.randrange(-4, 5)) for _ in range(3)])
             b = cyc_make(n, [(rng.randrange(n), rng.randrange(-4, 5)) for _ in range(3)])
             lcm = a.conductor * b.conductor // gcd(a.conductor, b.conductor)
