@@ -41,6 +41,7 @@ __all__ = [
     "CharacterTable",
     "parse_table",
     "load_table",
+    "certified_table",
     "print_table",
     "validate",
     "prime_divisors",
@@ -146,11 +147,7 @@ def parse_table(document) -> CharacterTable:
         raise CycParseError("irr must be a square matrix matching the class list")
     irr = [[_as_value(entry) for entry in row] for row in raw_irr]
 
-    table = _canonicalize(name, order, classes, irr, provenance)
-    violations = validate(table)
-    if violations:
-        raise ValidationError(violations)
-    return table
+    return certified_table(name, order, classes, irr, provenance)
 
 
 def load_table(path) -> CharacterTable:
@@ -158,7 +155,9 @@ def load_table(path) -> CharacterTable:
         return parse_table(fh.read())
 
 
-def _canonicalize(name, order, classes, irr, provenance) -> CharacterTable:
+def certified_table(name, order, classes, irr, provenance) -> CharacterTable:
+    """The table in canonical order, fully validated; raises ValidationError
+    listing every violated relation."""
     n = len(classes)
     identity = [i for i, c in enumerate(classes) if c.size == 1 and c.element_order == 1]
     if len(identity) != 1:
@@ -182,7 +181,7 @@ def _canonicalize(name, order, classes, irr, provenance) -> CharacterTable:
         raise ValidationError(["trivial-character"])
 
     exponent = lcm(*(c.element_order for c in classes))
-    return CharacterTable(
+    table = CharacterTable(
         name=name,
         group_order=order,
         classes=tuple(classes),
@@ -190,6 +189,10 @@ def _canonicalize(name, order, classes, irr, provenance) -> CharacterTable:
         exponent=exponent,
         provenance=provenance,
     )
+    violations = validate(table)
+    if violations:
+        raise ValidationError(violations)
+    return table
 
 
 def validate(table: CharacterTable) -> list[str]:

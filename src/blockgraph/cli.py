@@ -305,13 +305,7 @@ def run(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (CycParseError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except BlockgraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
+    except (BlockgraphError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

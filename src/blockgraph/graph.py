@@ -94,30 +94,20 @@ def solvability_criterion(quotient_table: CharacterTable) -> SolvabilityReport:
     table of that quotient; a triangle means solvability is not certified
     (this tool cannot check that the input really is G/S(G))."""
     graph = build_block_graph(quotient_table)
+    triangles = tuple(triangles_containing(graph, 2)) if 2 in graph.vertices else ()
     if 2 not in graph.vertices:
-        return SolvabilityReport(
-            group=quotient_table.name,
-            vertices=graph.vertices,
-            triangles=(),
-            certified_solvable=True,
-            statement="2 does not divide the order, so no triangle contains 2: solvable",
-        )
-    triangles = tuple(triangles_containing(graph, 2))
-    if not triangles:
-        return SolvabilityReport(
-            group=quotient_table.name,
-            vertices=graph.vertices,
-            triangles=(),
-            certified_solvable=True,
-            statement="block graph has no triangle containing 2: solvable",
-        )
-    listed = ", ".join("{%d,%d,%d}" % t for t in triangles)
+        statement = "2 does not divide the order, so no triangle contains 2: solvable"
+    elif not triangles:
+        statement = "block graph has no triangle containing 2: solvable"
+    else:
+        listed = ", ".join("{%d,%d,%d}" % t for t in triangles)
+        statement = f"block graph has a triangle containing 2 ({listed}): not certified solvable"
     return SolvabilityReport(
         group=quotient_table.name,
         vertices=graph.vertices,
         triangles=triangles,
-        certified_solvable=False,
-        statement=f"block graph has a triangle containing 2 ({listed}): not certified solvable",
+        certified_solvable=not triangles,
+        statement=statement,
     )
 
 

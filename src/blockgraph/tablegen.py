@@ -8,7 +8,10 @@ common eigenvectors are the central characters mod rho; degrees follow
 from the second orthogonality relation, and the character values are
 recovered per class by an order-o discrete Fourier transform over F_rho
 whose coefficients are the (small, nonnegative) root-of-unity
-multiplicities, lifted verbatim.
+multiplicities, lifted verbatim.  Each eigenspace of the simultaneous
+split is held in reduced row echelon form, so a vector of the span has its
+coordinates at the pivot columns, and restricting a class matrix to the
+space needs no second elimination.
 
 The solver itself only consumes abstract class data (sizes, element
 orders, power maps, and a callback producing class-sum matrices), so other
@@ -23,7 +26,7 @@ positions with one searchsorted.  Enumeration is breadth-first one layer
 at a time, conjugation by a generator is an index array over all
 elements, and row i of a class matrix is one batched product, one lookup
 and one bincount.  The element order and the class numbering are those of
-the element-at-a-time walk, which chartab._canonicalize's stable sort
+the element-at-a-time walk, which chartab.certified_table's stable sort
 turns into the column order of tied classes.
 """
 
@@ -36,9 +39,9 @@ from math import isqrt, lcm
 import numpy as np
 
 from ._numtheory import factorize, is_prime
-from .chartab import CharacterTable, ConjClass, _canonicalize, validate
+from .chartab import CharacterTable, ConjClass, certified_table
 from .cyclotomic import cyc_make
-from .errors import SizeExceeded, ValidationError
+from .errors import SizeExceeded
 
 __all__ = [
     "PermGroup",
@@ -237,9 +240,7 @@ def _element_of_order(m: int, rho: int) -> int:
 
 
 def _sqrt_mod(a: int, rho: int) -> int:
-    # Tonelli-Shanks; rho is an odd prime, a a quadratic residue.
-    if a == 0:
-        return 0
+    # Tonelli-Shanks; rho is an odd prime, a a nonzero quadratic residue.
     if rho % 4 == 3:
         return pow(a, (rho + 1) // 4, rho)
     q, s = rho - 1, 0
@@ -379,34 +380,38 @@ def _charpoly(a: list[list[int]], rho: int) -> list[int]:
     return polys[n]
 
 
-def _nullspace(mat: list[list[int]], rho: int) -> list[list[int]]:
-    n = len(mat)
-    m = len(mat[0])
-    a = [row[:] for row in mat]
-    pivots = []
-    r = 0
-    for c in range(m):
-        pivot = next((i for i in range(r, n) if a[i][c] % rho), None)
+def _rref(rows: list[list[int]], rho: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form mod rho of the span of rows: its nonzero
+    rows, each with a 1 at its pivot column, and those pivot columns."""
+    a = [[v % rho for v in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(len(a[0])):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(a)) if a[i][c]), None)
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        inv = pow(a[r][c] % rho, -1, rho)
+        inv = pow(a[r][c], -1, rho)
         a[r] = [v * inv % rho for v in a[r]]
-        for i in range(n):
-            if i != r and a[i][c] % rho:
-                f = a[i][c] % rho
+        for i in range(len(a)):
+            f = a[i][c]
+            if i != r and f:
                 a[i] = [(v - f * w) % rho for v, w in zip(a[i], a[r])]
         pivots.append(c)
-        r += 1
-        if r == n:
+        if len(pivots) == len(a):
             break
-    free = [c for c in range(m) if c not in pivots]
+    return a[: len(pivots)], pivots
+
+
+def _nullspace(mat: list[list[int]], rho: int) -> list[list[int]]:
+    # one basis vector per free column: 1 there, minus the row entry at each pivot
+    rows, pivots = _rref(mat, rho)
     basis = []
-    for fc in free:
-        vec = [0] * m
-        vec[fc] = 1
-        for row_i, pc in enumerate(pivots):
-            vec[pc] = (-a[row_i][fc]) % rho
+    for free in (c for c in range(len(mat[0])) if c not in pivots):
+        vec = [0] * len(mat[0])
+        vec[free] = 1
+        for row, c in zip(rows, pivots):
+            vec[c] = -row[free] % rho
         basis.append(vec)
     return basis
 
@@ -425,27 +430,32 @@ def table_from_class_data(
     rho = _choose_modulus(data.order, max(data.sizes), exponent)
     z = _element_of_order(exponent, rho)
 
-    # simultaneous eigenspaces of the class matrices, ascending class size
-    spaces: list[list[list[int]]] = [[[1 if i == j else 0 for j in range(c)] for i in range(c)]]
+    # simultaneous eigenspaces of the class matrices, ascending class size,
+    # each held as its reduced echelon rows and their pivot columns
+    spaces = [([[int(i == j) for j in range(c)] for i in range(c)], list(range(c)))]
     processing = sorted(
         (i for i in range(c) if i != data.identity_class),
         key=lambda i: (data.sizes[i], i),
     )
     for i in processing:
-        if all(len(s) == 1 for s in spaces):
+        if all(len(basis) == 1 for basis, _ in spaces):
             break
         mat = class_matrix(i)
         new_spaces = []
-        for basis in spaces:
-            if len(basis) == 1:
-                new_spaces.append(basis)
-                continue
+        for basis, pivots in spaces:
             d = len(basis)
+            if d == 1:
+                new_spaces.append((basis, pivots))
+                continue
             images = [
                 [sum(mat[j][k] * v[k] for k in range(c)) % rho for j in range(c)] for v in basis
             ]
-            coords = _coordinates(basis, images, rho)
-            a_t = [[coords[s][r] for s in range(d)] for r in range(d)]
+            # a vector of the span has its coordinates at the pivot columns
+            a_t = [[image[col] for image in images] for col in pivots]
+            for s, image in enumerate(images):
+                spanned = [sum(a_t[r][s] * basis[r][k] for r in range(d)) % rho for k in range(c)]
+                if image != spanned:
+                    raise ArithmeticError("image left the invariant subspace")
             split_total = 0
             for lam in _poly_roots(_charpoly(a_t, rho), rho):
                 shifted = [
@@ -457,17 +467,19 @@ def table_from_class_data(
                     for coeff in _nullspace(shifted, rho)
                 ]
                 split_total += len(sub)
-                new_spaces.append(sub)
+                new_spaces.append(_rref(sub, rho))
             if split_total != d:
                 raise ArithmeticError("eigenspace split lost dimensions")
         spaces = new_spaces
-    if not all(len(s) == 1 for s in spaces):
+    if not all(len(basis) == 1 for basis, _ in spaces):
         raise ArithmeticError("class algebra failed to split; corrupt class data")
 
     identity = data.identity_class
     omegas = []
-    for (vec,) in spaces:
-        inv = pow(vec[identity] % rho, -1, rho)
+    for (vec,), _ in spaces:
+        if not vec[identity]:
+            raise ArithmeticError("central character vanishes at the identity; corrupt class data")
+        inv = pow(vec[identity], -1, rho)
         omegas.append([v * inv % rho for v in vec])
 
     inverse_class = [pm[o - 1] if o > 1 else k for k, (pm, o) in enumerate(zip(data.power_maps, data.element_orders))]
@@ -481,7 +493,10 @@ def table_from_class_data(
     rows = []
     for omega in omegas:
         s_val = sum(omega[k] * omega[inverse_class[k]] % rho * size_inv[k] for k in range(c)) % rho
-        degree_sq = data.order * pow(s_val, -1, rho) % rho
+        # Euler's criterion: |G| / s_val must be a nonzero square mod rho
+        degree_sq = data.order * pow(s_val, -1, rho) % rho if s_val else 0
+        if pow(degree_sq, (rho - 1) // 2, rho) != 1:
+            raise ArithmeticError("degree recovery failed; modulus too small")
         root = _sqrt_mod(degree_sq, rho)
         degree = min(root, rho - root)
         if degree < 1 or degree > bound or degree * degree % rho != degree_sq:
@@ -513,53 +528,7 @@ def table_from_class_data(
     classes = [
         ConjClass(size, order) for size, order in zip(data.sizes, data.element_orders)
     ]
-    table = _canonicalize(name, data.order, classes, rows, provenance)
-    violations = validate(table)
-    if violations:
-        raise ValidationError(violations)
-    return table
-
-
-def _coordinates(basis: list[list[int]], images: list[list[int]], rho: int) -> list[list[int]]:
-    """Coordinates of each image in the span of basis (rows)."""
-    d, c = len(basis), len(basis[0])
-    work = [row[:] + [1 if i == j else 0 for j in range(d)] for i, row in enumerate(basis)]
-    pivots = []
-    r = 0
-    for col in range(c):
-        pivot = next((i for i in range(r, d) if work[i][col] % rho), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = pow(work[r][col] % rho, -1, rho)
-        work[r] = [v * inv % rho for v in work[r]]
-        for i in range(d):
-            if i != r and work[i][col] % rho:
-                f = work[i][col]
-                work[i] = [(v - f * w) % rho for v, w in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == d:
-            break
-    coords = []
-    for image in images:
-        rem = image[:]
-        coeff_on_reduced = []
-        for row_i, col in enumerate(pivots):
-            f = rem[col] % rho
-            coeff_on_reduced.append(f)
-            if f:
-                rem = [(v - f * w) % rho for v, w in zip(rem, work[row_i][:c])]
-        if any(v % rho for v in rem):
-            raise ArithmeticError("image left the invariant subspace")
-        # translate from reduced-basis coefficients back to original basis
-        original = [0] * d
-        for row_i, f in enumerate(coeff_on_reduced):
-            if f:
-                for j in range(d):
-                    original[j] = (original[j] + f * work[row_i][c + j]) % rho
-        coords.append(original)
-    return coords
+    return certified_table(name, data.order, classes, rows, provenance)
 
 
 def dixon_table(group: PermGroup, name: str = "G", provenance: str | None = None) -> CharacterTable:

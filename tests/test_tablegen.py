@@ -1,20 +1,26 @@
 import hashlib
+import random
 import time
 
 import perm_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF
 from sympy.combinatorics import Permutation, PermutationGroup
+from sympy.polys.matrices import DomainMatrix
 
 from blockgraph.chartab import print_table, validate
 from blockgraph.errors import SizeExceeded
 from blockgraph.tablegen import (
     _class_matrix_builder,
+    _nullspace,
     _poly_roots,
+    _rref,
     conjugacy_classes,
     dixon_table,
     enumerate_group,
+    table_from_class_data,
 )
 
 
@@ -199,3 +205,96 @@ class TestDixon:
         # x^rho mod x^15 leaves zero coefficients at the top of x^rho - x;
         # the charpoly x^15 arises in the Dixon table of PSL(2,32)
         assert _poly_roots([0] * 15 + [1], 380557) == [0]
+
+
+def _corrupted_table(generators, name, cls, row, col, delta):
+    """The Dixon table of a group with delta added to one cell of one class
+    matrix; the solver reads the matrix only if it needs that class."""
+    group = enumerate_group(generators)
+    data, class_of, members = conjugacy_classes(group)
+    build = _class_matrix_builder(group, class_of, members, [m[0] for m in members])
+
+    def class_matrix(i):
+        mat = build(i)
+        if i == cls:
+            mat[row][col] += delta
+        return mat
+
+    return table_from_class_data(name, data, class_matrix)
+
+
+A5_GENERATORS = [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)]
+
+
+class TestCorruptClassData:
+    """Class data that is not a group's must end in ArithmeticError."""
+
+    @pytest.mark.parametrize(
+        "generators, cls, row, col, delta",
+        [
+            # |G| / s is a quadratic non-residue mod rho
+            (psl2_generators(7), 2, 1, 3, 2),
+            (symmetric_generators(5), 1, 5, 4, 1),
+            # a common eigenvector vanishes at the identity class
+            (psl2_generators(7), 2, 5, 0, 1),
+        ],
+    )
+    def test_pinned_corruptions(self, generators, cls, row, col, delta):
+        with pytest.raises(ArithmeticError):
+            _corrupted_table(generators, "G", cls, row, col, delta)
+
+    def test_central_character_of_norm_zero(self):
+        # C4 gives rho = 5; mod 5 this matrix has the eigenvalues 0, 1, 2, 3
+        # in the eigenvectors (1,0,2,0), (1,1,0,0), (1,0,0,1), (1,0,1,0), and
+        # the first has s = 1 + 2*0*0 + 2^2 = 0 mod 5
+        data, _, _ = conjugacy_classes(enumerate_group([(1, 2, 3, 0)]))
+        mat = [[1, 0, 2, 1], [0, 1, 0, 0], [1, 4, 2, 4], [0, 0, 0, 2]]
+        with pytest.raises(ArithmeticError):
+            table_from_class_data("C4", data, lambda i: [row[:] for row in mat])
+
+    @pytest.mark.parametrize(
+        "name, generators", [("A5", A5_GENERATORS), ("S4", symmetric_generators(4))]
+    )
+    def test_single_cell_sweep(self, name, generators):
+        group = enumerate_group(generators)
+        clean = print_table(dixon_table(group, name))
+        c = len(conjugacy_classes(group)[0].sizes)
+        rng = random.Random(2024)
+        for _ in range(300):
+            cell = (rng.randrange(c), rng.randrange(c), rng.randrange(c))
+            delta = rng.choice((-2, -1, 1, 2, 3))
+            try:
+                table = _corrupted_table(generators, name, *cell, delta)
+            except ArithmeticError:
+                continue
+            assert print_table(table) == clean, (cell, delta)
+
+
+@st.composite
+def matrices_mod_p(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7, 1000003)))
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    # entries from a few residues, so that rank deficiency is common
+    pool = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3))
+    row = st.lists(st.sampled_from([0] + pool), min_size=m, max_size=m)
+    return p, draw(st.lists(row, min_size=n, max_size=n))
+
+
+class TestRowReduction:
+    """_rref and _nullspace against sympy's row reduction over GF(p)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=matrices_mod_p())
+    def test_against_sympy(self, case):
+        p, rows = case
+        field = GF(p)
+        shape = (len(rows), len(rows[0]))
+        mat = DomainMatrix([[field(x) for x in row] for row in rows], shape, field)
+        reduced, pivots = mat.rref()
+        expected = [[int(x) % p for x in row] for row in reduced.to_list()]
+        assert _rref(rows, p) == (expected[: len(pivots)], list(pivots))
+        # from the monic echelon form, sympy puts 1 at the free column and
+        # minus the row entry at each pivot, the convention of _nullspace
+        null = reduced.nullspace_from_rref(pivots)
+        assert _nullspace(rows, p) == [[int(x) % p for x in row] for row in null.to_list()]
