@@ -13,7 +13,6 @@ from .chartab import CharacterTable, ConjClass, load_table, parse_table, prime_d
 from .corpus import corpus_dir, corpus_names, load_corpus_table
 from .cyclotomic import (
     Cyclotomic,
-    IntPolynomial,
     cyc_add,
     cyc_div_by_int,
     cyc_make,

@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from ._numtheory import factorize
-from .intpoly import IntPolynomial, cyclotomic_polynomial
+from .intpoly import cyclotomic_polynomial
 
 
 class Component(NamedTuple):
@@ -133,8 +133,15 @@ def descend(n: int, tensor: dict) -> tuple[int, dict]:
 def expand(n: int, tensor: dict) -> tuple[int, ...]:
     """Dense power-basis coefficients (length phi(n)) of a basis dict."""
     phi_n = cyclotomic_polynomial(n)
+    degree = len(phi_n) - 1
     dense = [0] * n
     for key, coeff in tensor.items():
         dense[recompose(n, key)] += coeff
-    rem = IntPolynomial(dense).divmod(phi_n)[1].coeffs
-    return rem + (0,) * (phi_n.degree - len(rem))
+    # long division by the monic Phi_n, keeping only the remainder
+    support = [(j, c) for j, c in enumerate(phi_n[:degree]) if c]
+    for i in range(n - 1, degree - 1, -1):
+        q = dense[i]
+        if q:
+            for j, c in support:
+                dense[i - degree + j] -= q * c
+    return tuple(dense[:degree])

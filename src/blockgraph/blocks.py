@@ -85,7 +85,7 @@ def _radical_images(values: list[Cyclotomic], p: int) -> np.ndarray:
         for i, coeff in enumerate(value.coeffs):
             images[row, i * stride % c_prime] += coeff % p
     images %= p
-    phi = cyclotomic_polynomial(c_prime).coeffs
+    phi = cyclotomic_polynomial(c_prime)
     n = len(phi) - 1
     tail = np.array([coeff % p for coeff in phi[:n]], dtype=np.int64)
     for d in range(c_prime - 1, n - 1, -1):

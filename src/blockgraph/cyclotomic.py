@@ -16,7 +16,7 @@ from math import gcd, lcm
 
 from . import _zeta
 from .errors import CycParseError, NotAlgebraicInteger
-from .intpoly import IntPolynomial, cyclotomic_polynomial
+from .intpoly import cyclotomic_polynomial
 
 __all__ = [
     "Cyclotomic",
@@ -30,7 +30,6 @@ __all__ = [
     "conjugate",
     "parse_cyclotomic",
     "cyclotomic_polynomial",
-    "IntPolynomial",
 ]
 
 

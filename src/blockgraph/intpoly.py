@@ -1,132 +1,46 @@
-"""Dense polynomials over Z, lowest degree first, plus cyclotomic polynomials.
+"""Cyclotomic polynomials over Z as coefficient tuples, lowest degree first.
 
-A polynomial is stored as a tuple of ints with no trailing zeros; the zero
-polynomial is the empty tuple.  Only the operations the rest of the package
-needs are provided (ring arithmetic, exact division, evaluation).
+Phi_n is the product of (1 - x^(n/s))^mu(s) over the squarefree divisors s
+of n, computed as a power series cut at degree phi(n).  Multiplying by
+1 - x^d is one descending pass c[i] -= c[i-d]; dividing by it, that is
+multiplying by 1 + x^d + x^2d + ..., is one ascending pass c[i] += c[i-d].
+Writing 1 - x^k for x^k - 1 changes the sign by (-1)^(sum of mu(s)), which
+is 1 for n > 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from ._numtheory import divisors
+from ._numtheory import euler_phi, factorize
 
 
-def _trim(coeffs) -> tuple[int, ...]:
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
+@lru_cache(maxsize=128)
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Coefficients of Phi_n, lowest degree first."""
+    if n < 1:
+        raise ValueError("cyclotomic polynomial needs n >= 1")
+    if n == 1:
+        return (-1, 1)
+    degree = euler_phi(n)
+    coeffs = [1] + [0] * degree
+    # (n // s, mu(s)) for the squarefree divisors s of n
+    factors = [(n, 1)]
+    for p in factorize(n):
+        factors += [(d // p, -mu) for d, mu in factors]
+    for d, mu in factors:
+        if mu == 1:
+            for i in range(degree, d - 1, -1):
+                coeffs[i] -= coeffs[i - d]
+        else:
+            for i in range(d, degree + 1):
+                coeffs[i] += coeffs[i - d]
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Exact integer polynomial; coeffs[i] is the coefficient of x^i."""
-
-    coeffs: tuple[int, ...]
-
-    def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _trim(coeffs))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPolynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPolynomial(out)
-
-    def divmod(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        """Long division; requires divisor monic (or at least leading +-1)."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        lead = divisor.coeffs[-1]
-        if lead not in (1, -1):
-            raise ValueError("division only implemented for unit leading coefficient")
-        rem = list(self.coeffs)
-        dd = divisor.degree
-        support = [(j, c) for j, c in enumerate(divisor.coeffs) if c]
-        quot = [0] * max(0, len(rem) - dd)
-        for i in range(len(rem) - dd - 1, -1, -1):
-            q = rem[i + dd] * lead
-            if q:
-                quot[i] = q
-                for j, c in support:
-                    rem[i + j] -= q * c
-        return IntPolynomial(quot), IntPolynomial(rem)
-
-    def exact_div(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        quot, rem = self.divmod(divisor)
-        if not rem.is_zero():
-            raise ArithmeticError("division was not exact")
-        return quot
-
-    def __call__(self, x: int) -> int:
-        value = 0
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            term = "x" if i == 1 else f"x^{i}" if i else ""
-            mag = "" if abs(c) == 1 and i else str(abs(c))
-            sep = "" if mag == "" or not term else "*"
-            body = f"{mag}{sep}{term}"
-            parts.append(f"- {body}" if c < 0 else f"+ {body}" if parts else body)
-        head = parts[0]
-        if head.startswith("- "):
-            head = "-" + head[2:]
-        return " ".join([head] + parts[1:])
-
-
-def x_power_minus_one(n: int) -> IntPolynomial:
-    coeffs = [0] * (n + 1)
-    coeffs[0] = -1
-    coeffs[n] = 1
-    return IntPolynomial(coeffs)
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> IntPolynomial:
-    """Phi_n, computed by dividing x^n - 1 by Phi_d over all proper d | n."""
-    if n < 1:
-        raise ValueError("cyclotomic polynomial needs n >= 1")
-    poly = x_power_minus_one(n)
-    for d in divisors(n):
-        if d != n:
-            poly = poly.exact_div(cyclotomic_polynomial(d))
-    return poly
+def cyclotomic_value(n: int, x: int) -> int:
+    """Phi_n(x), by Horner's rule."""
+    value = 0
+    for c in reversed(cyclotomic_polynomial(n)):
+        value = value * x + c
+    return value

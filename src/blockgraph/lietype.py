@@ -9,16 +9,15 @@ regular number).
 Orders: |S| = q^N prod Phi_e(q)^{m_e} / d, where the generic order is
 described once, by the (degree, +-1 twist) pairs of weyl_degrees, or by a
 Phi_e table for 3D4, 2B2, 2F4 and 2G2.  The multiplicities m_e are derived
-from the pairs; the value is plain integer arithmetic, and the
+from the pairs; the value multiplies out the Phi_e(q)^{m_e}, and the
 factorization factors each Phi_e(q) on its own.
 
-Regular numbers: for untwisted families the degree/codegree counting
-criterion is evaluated directly on the Weyl degrees; for the twisted
-families 2A and 2D closed-form rules derived from the Sylow-torus
-centralizer shapes of unitary/orthogonal groups are encoded, for 2E6 the
-explicit set, and for 3D4, 2B2, 2F4, 2G2 every e is regular.  The test
-suite cross-validates all encoded rules against the twisted counting
-criterion.
+Regular numbers: e is regular exactly when as many degrees d as codegrees
+d - 2 satisfy zeta_e^x = eps, counted over the (degree, twist) pairs of
+weyl_degrees; the +-1 twists make one criterion cover the untwisted
+families and 2A, 2D and 2E6 alike.  For 3D4, 2B2, 2F4 and 2G2 every e is
+regular.  The test suite checks the criterion against closed-form rules
+for 2A and 2D and the explicit set for 2E6.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .errors import (
     NotADivisor,
     TitsGroup,
 )
-from .intpoly import cyclotomic_polynomial
+from .intpoly import cyclotomic_value
 
 __all__ = [
     "FAMILIES",
@@ -232,15 +231,11 @@ class Factored:
 
 
 def _order_value(group: GenericLieGroup) -> int:
-    """|S| = q^N prod (q^d - eps) / d, in plain integer arithmetic."""
+    """|S| = q^N prod Phi_e(q)^{m_e} / d, in plain integer arithmetic."""
     family, rank, q = group.family, group.rank, group.q
     value = q ** positive_roots(family, rank)
-    if family in _PHI_EXPONENTS:
-        for e, m in _PHI_EXPONENTS[family].items():
-            value *= cyclotomic_polynomial(e)(q) ** m
-    else:
-        for d, eps in weyl_degrees(family, rank):
-            value *= q**d - eps
+    for e, m in _cyclotomic_exponents(family, rank).items():
+        value *= cyclotomic_value(e, q) ** m
     d = center_index(family, rank, q)
     if value % d:
         raise ArithmeticError("center index does not divide the group order")
@@ -256,7 +251,7 @@ def group_order(group: GenericLieGroup) -> Factored:
     family, rank, q = group.family, group.rank, group.q
     factors = {group.p: group.f * positive_roots(family, rank)}
     for e, m in _cyclotomic_exponents(family, rank).items():
-        for r, k in factorize(cyclotomic_polynomial(e)(q)).items():
+        for r, k in factorize(cyclotomic_value(e, q)).items():
             factors[r] = factors.get(r, 0) + k * m
     for r, k in factorize(center_index(family, rank, q)).items():
         factors[r] -= k
@@ -285,7 +280,7 @@ def zsigmondy(t: int, n: int) -> int | None:
     if t < 2 or n < 2:
         raise ValueError("Zsigmondy primes need t, n > 1")
     candidates = [
-        r for r in prime_divisors_of(cyclotomic_polynomial(n)(t))
+        r for r in prime_divisors_of(cyclotomic_value(n, t))
         if multiplicative_order(t, r) == n
     ]
     return min(candidates) if candidates else None
@@ -308,18 +303,6 @@ def count_criterion_regular(pairs, e: int) -> bool:
     return a == b
 
 
-_REGULAR_2E6 = frozenset({1, 2, 3, 4, 6, 8, 12, 18})
-
-
-def _unitary_cost(e: int) -> int:
-    # dimensions a Phi_e-torus factor occupies inside a unitary group
-    if e % 4 == 0:
-        return e
-    if e % 2 == 0:
-        return e // 2
-    return 2 * e
-
-
 def is_regular(family: str, rank: int, e: int) -> bool:
     """Whether e is a regular number of the family at this rank."""
     if e < 1:
@@ -328,18 +311,6 @@ def is_regular(family: str, rank: int, e: int) -> bool:
         raise InvalidDescriptor(f"unknown family {family!r}")
     if family in _ALL_E_REGULAR:
         return True
-    if family == "2A":
-        return (rank + 1) % _unitary_cost(e) <= 1
-    if family == "2D":
-        n = rank
-        if e % 2:
-            return (n - 1) % e == 0
-        half = e // 2
-        if n % half == 1 % half:
-            return True
-        return n % half == 0 and (n // half) % 2 == 1
-    if family == "2E6":
-        return e in _REGULAR_2E6
     return count_criterion_regular(weyl_degrees(family, rank), e)
 
 
@@ -383,7 +354,7 @@ def _exact_sqrt(n: int) -> int:
 def _row_formulas(group: GenericLieGroup) -> Table2Row:
     n, q, f = group.rank, group.q, group.f
     fam = group.family
-    phi = lambda e: cyclotomic_polynomial(e)(q)
+    phi = lambda e: cyclotomic_value(e, q)
     if fam == "A":
         return Table2Row(gcd(n + 1, q - 1), (q ** (n + 1) - 1) // (q - 1),
                          phi(n + 1), n + 1, n + 1, (n + 1) * f)

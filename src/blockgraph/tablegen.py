@@ -4,7 +4,8 @@ method; the independent oracle behind the bundled table corpus.
 The pipeline: enumerate the group, partition it into conjugacy classes,
 then diagonalize the class-sum matrices simultaneously over F_rho for a
 prime rho = 1 (mod exponent) large enough that every lift is forced.  The
-common eigenvectors are the central characters mod rho; degrees follow
+common eigenvectors are the central characters mod rho; each degree is
+the one divisor d <= sqrt|G| of |G| whose square is |G| / s mod rho, s
 from the second orthogonality relation, and the character values are
 recovered per class by an order-o discrete Fourier transform over F_rho
 whose coefficients are the (small, nonnegative) root-of-unity
@@ -38,7 +39,7 @@ from math import isqrt, lcm
 
 import numpy as np
 
-from ._numtheory import factorize, is_prime
+from ._numtheory import divisors, factorize, is_prime
 from .chartab import CharacterTable, ConjClass, certified_table
 from .cyclotomic import cyc_make
 from .errors import SizeExceeded
@@ -237,32 +238,6 @@ def _element_of_order(m: int, rho: int) -> int:
         if z != 1 and all(pow(z, m // ell, rho) != 1 for ell in primes):
             return z
     raise ArithmeticError("no element of the requested order mod rho")
-
-
-def _sqrt_mod(a: int, rho: int) -> int:
-    # Tonelli-Shanks; rho is an odd prime, a a nonzero quadratic residue.
-    if rho % 4 == 3:
-        return pow(a, (rho + 1) // 4, rho)
-    q, s = rho - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = next(z for z in range(2, rho) if pow(z, (rho - 1) // 2, rho) == rho - 1)
-    c = pow(z, q, rho)
-    x = pow(a, (q + 1) // 2, rho)
-    t = pow(a, q, rho)
-    m = s
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % rho
-            i += 1
-        b = pow(c, 1 << (m - i - 1), rho)
-        x = x * b % rho
-        t = t * b % rho * b % rho
-        c = b * b % rho
-        m = i
-    return x
 
 
 def _poly_roots(f: list[int], rho: int) -> list[int]:
@@ -490,16 +465,14 @@ def table_from_class_data(
         z_o = pow(z, exponent // o, rho)
         z_powers[o] = [pow(z_o, e, rho) for e in range(o)]
     bound = isqrt(data.order)
+    # a degree d divides |G| and d^2 = |G| / s mod rho; two such d <= bound
+    # would have rho | (d1 - d2)(d1 + d2) with 0 < d1 + d2 <= 2 bound < rho
+    degree_of_square = {d * d % rho: d for d in divisors(data.order) if d <= bound}
     rows = []
     for omega in omegas:
         s_val = sum(omega[k] * omega[inverse_class[k]] % rho * size_inv[k] for k in range(c)) % rho
-        # Euler's criterion: |G| / s_val must be a nonzero square mod rho
-        degree_sq = data.order * pow(s_val, -1, rho) % rho if s_val else 0
-        if pow(degree_sq, (rho - 1) // 2, rho) != 1:
-            raise ArithmeticError("degree recovery failed; modulus too small")
-        root = _sqrt_mod(degree_sq, rho)
-        degree = min(root, rho - root)
-        if degree < 1 or degree > bound or degree * degree % rho != degree_sq:
+        degree = degree_of_square.get(data.order * pow(s_val, -1, rho) % rho) if s_val else None
+        if degree is None:
             raise ArithmeticError("degree recovery failed; modulus too small")
         chi_mod = [degree * omega[k] % rho * size_inv[k] % rho for k in range(c)]
         values = []

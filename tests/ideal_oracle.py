@@ -35,7 +35,7 @@ from blockgraph.blocks import BlockPartition, central_character
 from blockgraph.chartab import CharacterTable
 from blockgraph.cyclotomic import Cyclotomic, _coerce
 from blockgraph.errors import BlockgraphError
-from blockgraph.intpoly import IntPolynomial
+from poly_oracle import IntPolynomial
 
 
 class ConductorMismatch(BlockgraphError):

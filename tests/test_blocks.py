@@ -213,7 +213,7 @@ def ideal_generators(m, p):
     lies in exactly one maximal ideal when there are several."""
     y = symbols("y")
     m_prime = coprime_part(m, p)
-    phi = cyclotomic_polynomial(m_prime).coeffs
+    phi = cyclotomic_polynomial(m_prime)
     radical = (p, cyc_make(m, list(enumerate(phi))))
     _, factors = Poly(sympy_cyclotomic(m_prime, y), y, modulus=p).factor_list()
     single = tuple(
@@ -268,7 +268,7 @@ class TestRadicalReduction:
             [a, b, a + b, a * b, one], p
         ).tolist()
         c_prime = coprime_part(lcm(a.conductor, b.conductor), p)
-        phi = cyclotomic_polynomial(c_prime).coeffs
+        phi = cyclotomic_polynomial(c_prime)
         product = [0] * (2 * len(image_a) - 1)
         for i, x in enumerate(image_a):
             for j, y in enumerate(image_b):

@@ -1,4 +1,6 @@
 import random
+import time
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -6,7 +8,10 @@ import pytest
 from sympy import Poly, symbols
 from sympy import cyclotomic_poly as sympy_cyclotomic
 
-from blockgraph._numtheory import coprime_part
+import blockgraph
+import blockgraph.cyclotomic
+import blockgraph.intpoly
+from blockgraph._numtheory import coprime_part, divisors, euler_phi, factorize
 from blockgraph.cyclotomic import (
     Cyclotomic,
     conjugate,
@@ -21,13 +26,15 @@ from blockgraph.cyclotomic import (
     zeta,
 )
 from blockgraph.errors import CycParseError, NotAlgebraicInteger
-from blockgraph.intpoly import IntPolynomial, x_power_minus_one
+from blockgraph.intpoly import cyclotomic_value
 from ideal_oracle import (
     ConductorMismatch,
     make_reduction_context,
     reduce_cyclotomic,
     reduction_contexts,
 )
+from poly_oracle import IntPolynomial, x_power_minus_one
+from poly_oracle import cyclotomic_polynomial as oracle_cyclotomic_polynomial
 
 Y = symbols("y")
 
@@ -112,11 +119,10 @@ class TestRingOps:
                 _embedded_coeffs(a, lcm)
             )
             pb = IntPolynomial(_embedded_coeffs(b, lcm))
-            _, rem = (pa * pb).divmod(cyclotomic_polynomial(lcm))
+            phi = IntPolynomial(cyclotomic_polynomial(lcm))
+            _, rem = (pa * pb).divmod(phi)
             product = a * b
-            assert IntPolynomial(_embedded_coeffs(product, lcm)).divmod(
-                cyclotomic_polynomial(lcm)
-            )[1] == rem
+            assert IntPolynomial(_embedded_coeffs(product, lcm)).divmod(phi)[1] == rem
 
     def test_stretch_canonicalization(self):
         rng = random.Random(5)
@@ -168,20 +174,59 @@ class TestDivision:
 
 class TestCyclotomicPolynomial:
     def test_small(self):
-        assert cyclotomic_polynomial(1).coeffs == (-1, 1)
-        assert cyclotomic_polynomial(6).coeffs == (1, -1, 1)
+        assert cyclotomic_polynomial(1) == (-1, 1)
+        assert cyclotomic_polynomial(6) == (1, -1, 1)
 
     def test_phi_30(self):
         # x^8 + x^7 - x^5 - x^4 - x^3 + x + 1
-        assert cyclotomic_polynomial(30).coeffs == (1, 1, 0, -1, -1, -1, 0, 1, 1)
+        assert cyclotomic_polynomial(30) == (1, 1, 0, -1, -1, -1, 0, 1, 1)
+
+    def test_rejects_nonpositive(self):
+        for n in (0, -3):
+            with pytest.raises(ValueError):
+                cyclotomic_polynomial(n)
 
     def test_product_identity_up_to_200(self):
         for n in range(1, 201):
             product = IntPolynomial((1,))
             for d in range(1, n + 1):
                 if n % d == 0:
-                    product = product * cyclotomic_polynomial(d)
+                    product = product * IntPolynomial(cyclotomic_polynomial(d))
             assert product == x_power_minus_one(n), n
+
+    def test_matches_sympy_up_to_300(self):
+        for n in range(1, 301):
+            expected = Poly(sympy_cyclotomic(n, Y), Y).all_coeffs()[::-1]
+            assert cyclotomic_polynomial(n) == tuple(int(c) for c in expected), n
+
+    def test_matches_exact_division_below_1200(self):
+        for n in range(1, 1200):
+            assert cyclotomic_polynomial(n) == oracle_cyclotomic_polynomial(n).coeffs, n
+
+    @pytest.mark.parametrize("n", [15015, 30030])
+    def test_large_conductor_is_fast_and_exact(self, n):
+        # Phi_n(2) = prod_{d | n} (2^d - 1)^mu(n/d), as an exact rational
+        cyclotomic_polynomial.cache_clear()
+        start = time.perf_counter()
+        coeffs = cyclotomic_polynomial(n)
+        assert time.perf_counter() - start < 0.5
+        assert len(coeffs) - 1 == euler_phi(n)
+        expected = Fraction(1)
+        for d in divisors(n):
+            s = n // d
+            if all(s % (p * p) for p in factorize(s)):
+                expected *= Fraction(2**d - 1) ** (-1) ** len(factorize(s))
+        assert cyclotomic_value(n, 2) == expected
+
+    def test_value_is_horner_evaluation(self):
+        for n in range(1, 60):
+            for x in (-3, 0, 1, 2, 7):
+                assert cyclotomic_value(n, x) == IntPolynomial(cyclotomic_polynomial(n))(x)
+
+    def test_int_polynomial_is_not_exported(self):
+        assert not hasattr(blockgraph, "IntPolynomial")
+        assert not hasattr(blockgraph.cyclotomic, "IntPolynomial")
+        assert not hasattr(blockgraph.intpoly, "IntPolynomial")
 
 
 class TestGrammar:
@@ -220,7 +265,7 @@ class TestReduction:
 
     def test_context_fifteen_factors(self):
         # brute-force oracle: scan all monic quartics over F_2 for factors
-        phi15 = [c % 2 for c in cyclotomic_polynomial(15).coeffs]
+        phi15 = [c % 2 for c in cyclotomic_polynomial(15)]
 
         def poly_mul2(a, b):
             out = [0] * (len(a) + len(b) - 1)
