@@ -43,6 +43,16 @@ from .lietype import (
     zsigmondy,
     zsigmondy_prime_of_Te,
 )
-from .tablegen import PermGroup, dixon_table, enumerate_group
 
 __version__ = "0.1.0"
+
+# tablegen is the one module that needs numpy; it loads on first use
+_TABLEGEN_NAMES = {"PermGroup", "dixon_table", "enumerate_group"}
+
+
+def __getattr__(name):
+    if name in _TABLEGEN_NAMES:
+        from . import tablegen
+
+        return getattr(tablegen, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,8 +10,9 @@ The on-disk format is a UTF-8 JSON object:
 
 where each irr entry is either an integer or a string in the E(n)
 expression grammar of the cyclotomic module.  Parsing canonicalizes the
-ordering (identity class first, then element order, then size; trivial
-character first, then degree, ties broken by the value sequence) and runs
+ordering (identity class first, then element order, then size, then label,
+unlabelled classes still tied keeping their input order; trivial character
+first, then degree, ties broken by the value sequence) and runs
 the full validator, so a CharacterTable in hand is always a genuine
 character table: both orthogonality relations hold exactly, central
 characters are algebraic integers, and every value lies in the cyclotomic
@@ -167,7 +168,7 @@ def certified_table(name, order, classes, irr, provenance) -> CharacterTable:
         range(n),
         key=lambda i: (0, 0, 0)
         if i == identity[0]
-        else (1, classes[i].element_order, classes[i].size),
+        else (1, classes[i].element_order, classes[i].size, classes[i].label or ""),
     )
     classes = [classes[i] for i in col_order]
     irr = [[row[i] for i in col_order] for row in irr]

@@ -21,7 +21,6 @@ from .chartab import parse_table, print_table
 from .corpus import resolve_table_path
 from .errors import BlockgraphError, CycParseError, ValidationError
 from .graph import build_block_graph, export_dot, is_complete, triangles_containing
-from .tablegen import dixon_table, enumerate_group
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -169,6 +168,7 @@ def _cmd_steinberg(args) -> int:
 
 
 def _cmd_regnum(args) -> int:
+    lietype.check_rank(args.family, args.rank)
     verdict = lietype.is_regular(args.family, args.rank, args.e)
     _emit(
         {
@@ -216,6 +216,9 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_dixon(args) -> int:
+    # tablegen needs numpy, which no other command loads
+    from .tablegen import dixon_table, enumerate_group
+
     with open(args.permgroup, "rb") as fh:
         document = json.loads(fh.read().decode("utf-8"))
     if not isinstance(document, dict) or "generators" not in document:

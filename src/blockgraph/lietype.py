@@ -45,6 +45,7 @@ __all__ = [
     "FAMILIES",
     "GenericLieGroup",
     "lie_group",
+    "check_rank",
     "Factored",
     "group_order",
     "e_of",
@@ -65,6 +66,8 @@ FAMILIES = (
 
 _FIXED_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2,
                "2E6": 6, "3D4": 4, "2B2": 2, "2F4": 4, "2G2": 2}
+
+_MINIMUM_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "2A": 2, "2D": 4}
 
 _VERY_TWISTED = {"2B2": 2, "2F4": 2, "2G2": 3}
 
@@ -100,15 +103,23 @@ def _prime_power(q: int) -> tuple[int, int]:
     return p, f
 
 
+def check_rank(family: str, rank: int) -> None:
+    """Rejects a rank the family does not have: the fixed rank of an
+    exceptional or very twisted family, the least rank of a classical one."""
+    fixed = _FIXED_RANK.get(family)
+    if fixed is not None and rank != fixed:
+        raise InvalidDescriptor(f"{family} has rank {fixed}, not {rank}")
+    if family in _MINIMUM_RANK and rank < _MINIMUM_RANK[family]:
+        raise InvalidDescriptor(f"{family}_n needs n >= {_MINIMUM_RANK[family]}")
+
+
 def lie_group(family: str, rank: int, q: int) -> GenericLieGroup:
     """Validated descriptor; rejects non-simple configurations."""
     if family not in FAMILIES:
         raise InvalidDescriptor(f"unknown family {family!r}")
     p, f = _prime_power(q)
 
-    fixed = _FIXED_RANK.get(family)
-    if fixed is not None and rank != fixed:
-        raise InvalidDescriptor(f"{family} has rank {fixed}, not {rank}")
+    check_rank(family, rank)
 
     if family in _VERY_TWISTED:
         if p != _VERY_TWISTED[family]:
@@ -122,10 +133,6 @@ def lie_group(family: str, rank: int, q: int) -> GenericLieGroup:
         if f < 3 or f % 2 == 0:
             raise InvalidDescriptor(f"{family} needs q = {p}^f with f odd and >= 3")
         return GenericLieGroup(family, rank, p, f)
-
-    minimum_rank = {"A": 1, "B": 2, "C": 3, "D": 4, "2A": 2, "2D": 4}
-    if family in minimum_rank and rank < minimum_rank[family]:
-        raise InvalidDescriptor(f"{family}_n needs n >= {minimum_rank[family]}")
 
     not_simple = {
         ("A", 1, 2), ("A", 1, 3),   # solvable

@@ -249,7 +249,7 @@ class TestRadicalReduction:
             a = prime * a + phi_at_zeta * data.draw(cyclotomics(m))
         elif kind == "one ideal":
             a = a * data.draw(st.sampled_from(single))
-        radical_zero = not _radical_images([a], p).any()
+        radical_zero = not any(_radical_images([a], p)[0])
         ideal_zero = all(
             not any(reduce_cyclotomic(a, ctx).coeffs) for ctx in reduction_contexts(m, p)
         )
@@ -258,7 +258,7 @@ class TestRadicalReduction:
     @settings(max_examples=150, deadline=None)
     @given(
         m=st.sampled_from([12, 18, 20, 24, 30, 36, 40, 45, 60]),
-        p=st.sampled_from([2, 3, 5, 7, 2147483647]),
+        p=st.sampled_from([2, 3, 5, 7, 2147483647, 2305843009213693951]),
         data=st.data(),
     )
     def test_ring_homomorphism(self, m, p, data):
@@ -266,7 +266,7 @@ class TestRadicalReduction:
         one = Cyclotomic(1, (1,))
         image_a, image_b, image_sum, image_product, image_one = _radical_images(
             [a, b, a + b, a * b, one], p
-        ).tolist()
+        )
         c_prime = coprime_part(lcm(a.conductor, b.conductor), p)
         phi = cyclotomic_polynomial(c_prime)
         product = [0] * (2 * len(image_a) - 1)

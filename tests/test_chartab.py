@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -76,18 +77,35 @@ class TestParse:
         with pytest.raises(CycParseError):
             parse_table(json.dumps(doc))
 
-    def test_canonical_order_after_shuffle(self, corpus):
-        data = json.loads(corpus_path("A5").read_text())
-        perm_rows = [3, 0, 4, 1, 2]
-        perm_cols = [2, 4, 0, 1, 3]
-        data["irr"] = [[data["irr"][r][c] for c in perm_cols] for r in perm_rows]
-        data["classes"] = [data["classes"][c] for c in perm_cols]
-        shuffled = parse_table(json.dumps(data))
-        reference = corpus("A5")
-        assert shuffled.irr == reference.irr
-        assert [(c.size, c.element_order) for c in shuffled.classes] == [
-            (c.size, c.element_order) for c in reference.classes
-        ]
+    def test_canonical_order_after_shuffle(self, corpus, all_corpus_names):
+        for name in all_corpus_names:
+            reference = corpus(name)
+            for seed in (1, 2):
+                data = json.loads(corpus_path(name).read_text())
+                rng = random.Random(seed)
+                rows = list(range(len(data["irr"])))
+                cols = list(range(len(data["classes"])))
+                rng.shuffle(rows)
+                rng.shuffle(cols)
+                # Unlabelled classes tied on (order, size) keep their input
+                # order in the parser, so they keep their relative order here
+                # (J1, L5_2 and Sz8 have such ties).
+                tied = {}
+                for slot, c in enumerate(cols):
+                    cls = data["classes"][c]
+                    if "label" not in cls:
+                        tied.setdefault((cls["order"], cls["size"]), []).append(slot)
+                for slots in tied.values():
+                    for slot, c in zip(slots, sorted(cols[s] for s in slots)):
+                        cols[slot] = c
+                data["irr"] = [[data["irr"][r][c] for c in cols] for r in rows]
+                data["classes"] = [data["classes"][c] for c in cols]
+                shuffled = parse_table(json.dumps(data))
+                assert shuffled.irr == reference.irr, (name, seed)
+                assert [(c.size, c.element_order) for c in shuffled.classes] == [
+                    (c.size, c.element_order) for c in reference.classes
+                ], (name, seed)
+                assert print_table(shuffled) == print_table(reference), (name, seed)
 
     def test_accepts_bytes(self):
         table = parse_table(json.dumps(S3_DOC).encode())

@@ -133,6 +133,19 @@ class TestLieTypeCommands:
     def test_regnum(self, capsys):
         code, out, _ = invoke(capsys, "regnum", "--family", "E8", "--rank", "8", "--e", "30")
         assert code == 0 and json.loads(out)["regular"] is True
+        assert out == (
+            '{\n "family": "E8",\n "rank": 8,\n "e": 30,\n "regular": true,\n'
+            ' "explanation": "30 is a regular number of E8 at rank 8"\n}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "family,rank,e,message",
+        [("2D", "0", "3", "2D_n needs n >= 4"), ("A", "-2", "3", "A_n needs n >= 1"),
+         ("E8", "7", "30", "E8 has rank 8, not 7")],
+    )
+    def test_regnum_rejects_a_rank_the_family_lacks(self, capsys, family, rank, e, message):
+        code, out, err = invoke(capsys, "regnum", "--family", family, "--rank", rank, "--e", e)
+        assert code == 3 and out == "" and message in err
 
     def test_zsigmondy(self, capsys):
         code, out, _ = invoke(capsys, "zsigmondy", "-t", "2", "-n", "6")
@@ -177,6 +190,29 @@ class TestLieTypeCommands:
     def test_descriptor_error_exit_3(self, capsys):
         code, _, err = invoke(capsys, "order", "--family", "A", "--rank", "1", "--q", "2")
         assert code == 3 and err
+
+
+class TestImportPath:
+    def test_numpy_loads_only_with_tablegen(self):
+        # every command but dixon runs without numpy; tablegen brings it in
+        src = str(Path(blockgraph.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = """
+import contextlib, io, sys
+import blockgraph, blockgraph.cli
+for argv in (["graph", "S4", "--json"], ["blocks", "A5", "-p", "2"], ["validate", "C6"],
+             ["order", "--family", "A", "--rank", "1", "--q", "4"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert blockgraph.cli.run(argv) == 0, argv
+assert "numpy" not in sys.modules
+assert blockgraph.dixon_table is blockgraph.tablegen.dixon_table
+assert "numpy" in sys.modules
+"""
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestDixonCommand:

@@ -148,6 +148,23 @@ class TestZsigmondy:
             for n in range(2, 13):
                 assert zsigmondy(t, n) == oracle(t, n), (t, n)
 
+    def test_matches_sympy_scan(self):
+        # the smallest prime of t^n - 1 that divides no t^m - 1 with m < n
+        for t in range(2, 14):
+            for n in range(2, 25):
+                expected = next(
+                    (r for r in sympy.primefactors(t**n - 1)
+                     if all((t**m - 1) % r for m in range(1, n))),
+                    None,
+                )
+                assert zsigmondy(t, n) == expected, (t, n)
+
+    def test_multiplicative_order_matches_sympy(self):
+        for n in range(2, 200):  # sympy.n_order takes n > 1 only
+            for a in range(1, 200):
+                if math.gcd(a, n) == 1:
+                    assert multiplicative_order(a, n) == sympy.n_order(a, n), (a, n)
+
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             zsigmondy(1, 5)
