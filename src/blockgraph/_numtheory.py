@@ -2,13 +2,22 @@
 
 Everything works on Python ints of arbitrary size.  Factorization is trial
 division up to a fixed bound followed by Pollard rho, which is plenty for the
-desk-scale inputs here (group orders, cyclotomic polynomial values).
+desk-scale inputs here (group orders, cyclotomic polynomial values).  The rho
+steps of one call are capped, so a value with no small enough factor fails
+fast with FactorizationTooHard instead of running on.
 """
 
 import math
 from functools import lru_cache
 
+from .errors import FactorizationTooHard
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Pollard rho steps allowed in one factorize call: a few seconds of work,
+# about sqrt(p) steps for the smallest prime factor p left after trial
+# division, so every factor below about 10^12 is found
+RHO_STEPS = 10**6
 
 
 def is_prime(n: int) -> bool:
@@ -36,27 +45,36 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
+def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
     # Floyd's cycle finding, one gcd per step; n must be odd composite.
+    # Returns a proper factor and what is left of the budget of steps.
     if n % 2 == 0:
-        return 2
+        return 2, budget
     for c in range(1, 100):
         x = y = 2
         d = 1
         while d == 1:
+            if not budget:
+                raise FactorizationTooHard(f"no factor of {n} within {RHO_STEPS} rho steps")
+            budget -= 1
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             d = math.gcd(abs(x - y), n)
         if d != n:
-            return d
+            return d, budget
     raise ArithmeticError(f"rho failed on {n}")
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
+    """Prime factorization of n >= 1 as {prime: exponent}.
+
+    Raises FactorizationTooHard when the Pollard rho steps of the call
+    would pass RHO_STEPS.
+    """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
+    budget = RHO_STEPS
     factors: dict[int, int] = {}
     for p in range(2, 10000):
         if p * p > n:
@@ -72,7 +90,7 @@ def factorize(n: int) -> dict[int, int]:
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
-        d = _pollard_rho(m)
+        d, budget = _pollard_rho(m, budget)
         stack.append(d)
         stack.append(m // d)
     return dict(sorted(factors.items()))

@@ -9,14 +9,15 @@ The on-disk format is a UTF-8 JSON object:
      "provenance": str?}
 
 where each irr entry is either an integer or a string in the E(n)
-expression grammar of the cyclotomic module.  Parsing canonicalizes the
-ordering (identity class first, then element order, then size, then label,
-unlabelled classes still tied keeping their input order; trivial character
-first, then degree, ties broken by the value sequence) and runs
-the full validator, so a CharacterTable in hand is always a genuine
-character table: both orthogonality relations hold exactly, central
-characters are algebraic integers, and every value lies in the cyclotomic
-field of its class's element order.
+expression grammar of the cyclotomic module.  Each distinct entry of a
+document is parsed once, and every cell holding it shares the one value.
+Parsing canonicalizes the ordering (identity class first, then element
+order, then size, then label, unlabelled classes still tied keeping their
+input order; trivial character first, then degree, ties broken by the value
+sequence) and runs the full validator, so a CharacterTable in hand is
+always a genuine character table: both orthogonality relations hold
+exactly, central characters are algebraic integers, and every value lies in
+the cyclotomic field of its class's element order.
 
 The validator converts every value once into the sparse prime-power basis
 of _zeta at M, the lcm of the table's value conductors, takes complex
@@ -146,7 +147,19 @@ def parse_table(document) -> CharacterTable:
     n = len(classes)
     if len(raw_irr) != n or any(not isinstance(row, list) or len(row) != n for row in raw_irr):
         raise CycParseError("irr must be a square matrix matching the class list")
-    irr = [[_as_value(entry) for entry in row] for row in raw_irr]
+    # each distinct entry is parsed once, into one object shared by its
+    # cells; the type is part of the key since JSON true hashes as 1
+    values: dict = {}
+
+    def value(entry) -> Cyclotomic:
+        if not isinstance(entry, (int, str)):
+            return _as_value(entry)  # raises: no other JSON type is a value
+        key = (type(entry), entry)
+        if key not in values:
+            values[key] = _as_value(entry)
+        return values[key]
+
+    irr = [[value(entry) for entry in row] for row in raw_irr]
 
     return certified_table(name, order, classes, irr, provenance)
 

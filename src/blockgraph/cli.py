@@ -5,7 +5,8 @@ steinberg, regnum, zsigmondy, order (Lie-type number theory), and dixon
 (character table of a permutation group).  Output is JSON by default
 (deterministic byte-for-byte), DOT or plain text on request; diagnostics
 go to stderr.  Exit codes: 0 success, 2 validation failure, 3 parse or
-usage error.
+usage error, or input past a work bound (a group larger than --bound, a
+factorization past its budget of rho steps).
 """
 
 from __future__ import annotations

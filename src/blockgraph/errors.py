@@ -51,3 +51,7 @@ class BadPrime(BlockgraphError):
 
 class SizeExceeded(BlockgraphError):
     """Permutation group enumeration exceeded its bound."""
+
+
+class FactorizationTooHard(BlockgraphError):
+    """Factorization ran out of its budget of Pollard rho steps."""

@@ -9,7 +9,11 @@ the one divisor d <= sqrt|G| of |G| whose square is |G| / s mod rho, s
 from the second orthogonality relation, and the character values are
 recovered per class by an order-o discrete Fourier transform over F_rho
 whose coefficients are the (small, nonnegative) root-of-unity
-multiplicities, lifted verbatim.  Each eigenspace of the simultaneous
+multiplicities, lifted verbatim.  A value chi(g^u) depends on u only through
+the class of g^u, so the transform of each class is first summed over the
+powers landing in each class, once for all characters, and each character
+then takes one short sum per multiplicity.  Each distinct value is built
+once per table, and its cells share it.  Each eigenspace of the simultaneous
 split is held in reduced row echelon form, so a vector of the span has its
 coordinates at the pivot columns, and restricting a class matrix to the
 space needs no second elimination.
@@ -21,14 +25,19 @@ bounded desk-scale oracle that tests and the dixon CLI subcommand use.
 
 PermGroup holds its elements as one order x degree numpy array of the
 smallest unsigned dtype that fits a point, and works on them in batches:
-products are fancy indexing (x*g is x[g]), and one sorted index of the
-rows, built once per group, turns a whole array of products into element
-positions with one searchsorted.  Enumeration is breadth-first one layer
-at a time, conjugation by a generator is an index array over all
-elements, and row i of a class matrix is one batched product, one lookup
-and one bincount.  The element order and the class numbering are those of
-the element-at-a-time walk, which chartab.certified_table's stable sort
-turns into the column order of tied classes.
+products are fancy indexing (x*g is x[g]), and one sorted index, built once
+per group, turns a whole array of products into element positions with one
+searchsorted.  The index keys each element by its images of a base, a list
+of points whose images tell any two elements apart (Sims; Seress 2003,
+ch. 4), packed into one int64 in radix degree when degree^|base| < 2^63 and
+the base columns' bytes otherwise; a lookup then compares the whole rows,
+so a non-member is still refused.  Enumeration is breadth-first one layer
+at a time, keyed by whole rows since no base exists yet, conjugation by a
+generator is an index array over all elements, and row i of a class matrix
+is one batched product, one lookup and one bincount.  The element order and
+the class numbering are those of the element-at-a-time walk, which
+chartab.certified_table's stable sort turns into the column order of tied
+classes.
 """
 
 from __future__ import annotations
@@ -85,19 +94,39 @@ class PermGroup:
         return len(self.elements)
 
     @cached_property
-    def _index(self) -> tuple[np.ndarray, np.ndarray]:
-        keys = _row_keys(self.elements)
+    def _index(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        # a base: each point is one that some element of the stabilizer of
+        # the points before it moves, until that stabilizer is trivial
+        base = []
+        rows = self.elements
+        while len(rows) > 1:
+            point = int(np.argmax((rows != np.arange(self.degree)).any(axis=0)))
+            base.append(point)
+            rows = rows[rows[:, point] == point]
+        keys = self._base_keys(self.elements, base)
         perm = np.argsort(keys)
-        return keys[perm], perm
+        return base, keys[perm], perm
+
+    def _base_keys(self, rows: np.ndarray, base: list[int]) -> np.ndarray:
+        # the images of the base points, packed in radix degree when they fit
+        if self.degree ** len(base) >= 2**63:
+            return _row_keys(rows[:, base])
+        keys = np.zeros(len(rows), dtype=np.int64)
+        for point in base:
+            keys *= self.degree
+            keys += rows[:, point]
+        return keys
 
     def index_of(self, rows: np.ndarray) -> np.ndarray:
         """Positions in elements of the rows of a k x degree array."""
-        wanted = _row_keys(np.asarray(rows, dtype=self.elements.dtype))
-        keys, perm = self._index
-        pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-        if not np.array_equal(keys[pos], wanted):  # compares the whole rows
+        rows = np.asarray(rows, dtype=self.elements.dtype)
+        base, keys, perm = self._index
+        pos = np.minimum(np.searchsorted(keys, self._base_keys(rows, base)), len(keys) - 1)
+        found = perm[pos]
+        # rows that agree on the base are equal only if they are elements
+        if not np.array_equal(self.elements[found], rows):
             raise ValueError("not an element of the group")
-        return perm[pos]
+        return found
 
 
 def enumerate_group(generators, bound: int = DEFAULT_BOUND) -> PermGroup:
@@ -459,15 +488,25 @@ def table_from_class_data(
 
     inverse_class = [pm[o - 1] if o > 1 else k for k, (pm, o) in enumerate(zip(data.power_maps, data.element_orders))]
     size_inv = [pow(s, -1, rho) for s in data.sizes]
-    # z_powers[o][e] = z_o^e for z_o = z^(exponent/o), a primitive o-th root
-    z_powers = {}
-    for o in set(data.element_orders):
+    # the value at class k of order o has multiplicities
+    # m_t = (1/o) sum_u chi(g^u) z_o^(-ut), and chi(g^u) depends on u only
+    # through the class j of g^u; so dft[k][t] lists, for each such j, the
+    # sum of (1/o) z_o^(-ut) over the u with g^u in j
+    dft = []
+    for k, o in enumerate(data.element_orders):
         z_o = pow(z, exponent // o, rho)
-        z_powers[o] = [pow(z_o, e, rho) for e in range(o)]
+        z_pow = [pow(z_o, e, rho) for e in range(o)]
+        inv_o = pow(o, -1, rho)
+        sums = [{} for _ in range(o)]
+        for u, j in enumerate(data.power_maps[k]):
+            for t in range(o):
+                sums[t][j] = sums[t].get(j, 0) + z_pow[-u * t % o]
+        dft.append([[(j, w * inv_o % rho) for j, w in row.items()] for row in sums])
     bound = isqrt(data.order)
     # a degree d divides |G| and d^2 = |G| / s mod rho; two such d <= bound
     # would have rho | (d1 - d2)(d1 + d2) with 0 < d1 + d2 <= 2 bound < rho
     degree_of_square = {d * d % rho: d for d in divisors(data.order) if d <= bound}
+    made = {}  # each distinct value is built once, as one object
     rows = []
     for omega in omegas:
         s_val = sum(omega[k] * omega[inverse_class[k]] % rho * size_inv[k] for k in range(c)) % rho
@@ -477,17 +516,10 @@ def table_from_class_data(
         chi_mod = [degree * omega[k] % rho * size_inv[k] % rho for k in range(c)]
         values = []
         for k in range(c):
-            o = data.element_orders[k]
-            z_pow = z_powers[o]
-            inv_o = pow(o, -1, rho)
             terms = []
             total = 0
-            for t in range(o):
-                m_t = (
-                    sum(chi_mod[data.power_maps[k][u]] * z_pow[-u * t % o] for u in range(o))
-                    * inv_o
-                    % rho
-                )
+            for t, weights in enumerate(dft[k]):
+                m_t = sum(chi_mod[j] * w for j, w in weights) % rho
                 if m_t > bound:
                     raise ArithmeticError("multiplicity lift out of range")
                 total += m_t
@@ -495,7 +527,10 @@ def table_from_class_data(
                     terms.append((t, m_t))
             if total != degree:
                 raise ArithmeticError("root-of-unity multiplicities do not sum to the degree")
-            values.append(cyc_make(o, terms))
+            key = (data.element_orders[k], tuple(terms))
+            if key not in made:
+                made[key] = cyc_make(*key)
+            values.append(made[key])
         rows.append(values)
 
     classes = [

@@ -111,6 +111,23 @@ class TestParse:
         table = parse_table(json.dumps(S3_DOC).encode())
         assert table.group_order == 6
 
+    @pytest.mark.parametrize("irr", [[[1, 1], [1, True]], [[1, True], [1, -1]]])
+    def test_true_is_never_read_as_one(self, irr):
+        # true equals and hashes as 1, whichever of the two comes first
+        with pytest.raises(CycParseError):
+            parse_table(json.dumps(dict(C2_DOC, irr=irr)))
+
+    def test_equal_entries_are_one_object(self, all_corpus_names):
+        # corpus files are canonical print_table text, so equal values come
+        # from equal entries of the document
+        for name in all_corpus_names:
+            table = parse_table(corpus_path(name).read_bytes())
+            objects = {}
+            for row in table.irr:
+                for v in row:
+                    objects.setdefault(v, set()).add(id(v))
+            assert all(len(ids) == 1 for ids in objects.values()), name
+
 
 class TestValidate:
     def test_valid_c6_empty(self, corpus):

@@ -187,6 +187,20 @@ class TestLieTypeCommands:
         assert math.prod(r**k for r, k in factors.items()) == doc["order"]
         assert all(sympy.isprime(r) for r in factors)
 
+    def test_order_past_the_factoring_budget_exits_3(self):
+        # a 64-digit cofactor of Phi_17(65537) has no factor rho finds in
+        # its budget of steps; the call fails fast instead of running on
+        src = str(Path(blockgraph.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "blockgraph", "order", "--family", "A",
+             "--rank", "20", "--q", "65537"],
+            capture_output=True, text=True, env=env, timeout=15,
+        )
+        assert done.returncode == 3 and done.stdout == ""
+        assert "rho steps" in done.stderr
+
     def test_descriptor_error_exit_3(self, capsys):
         code, _, err = invoke(capsys, "order", "--family", "A", "--rank", "1", "--q", "2")
         assert code == 3 and err

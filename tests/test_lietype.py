@@ -3,11 +3,13 @@ import math
 import pytest
 import sympy
 
-from blockgraph._numtheory import multiplicative_order, prime_divisors_of
+from blockgraph import _numtheory
+from blockgraph._numtheory import factorize, multiplicative_order, prime_divisors_of
 from blockgraph.errors import (
     BadPrime,
     ConditionViolated,
     DefiningPrime,
+    FactorizationTooHard,
     InvalidDescriptor,
     NotADivisor,
     TitsGroup,
@@ -170,6 +172,21 @@ class TestZsigmondy:
             zsigmondy(1, 5)
         with pytest.raises(ValueError):
             zsigmondy(5, 1)
+
+
+class TestFactorizeBudget:
+    def test_rho_steps_are_capped(self, monkeypatch):
+        # both primes are past trial division, so rho has to split them
+        n = 1000003 * 1000033
+        assert factorize(n) == {1000003: 1, 1000033: 1}
+        monkeypatch.setattr(_numtheory, "RHO_STEPS", 10)
+        with pytest.raises(FactorizationTooHard):
+            factorize(n)
+
+    def test_primes_and_smooth_values_take_no_rho_step(self, monkeypatch):
+        monkeypatch.setattr(_numtheory, "RHO_STEPS", 0)
+        assert factorize(2**61 - 1) == {2**61 - 1: 1}
+        assert factorize(9999991 * 2**10 * 3**5) == {2: 10, 3: 5, 9999991: 1}
 
 
 class TestRegularNumbers:

@@ -24,6 +24,9 @@ from blockgraph.tablegen import (
 )
 
 
+A5_GENERATORS = [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)]
+
+
 def symmetric_generators(n):
     # the transposition (0 1) and the n-cycle (0 1 ... n-1)
     return [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]
@@ -147,6 +150,68 @@ class TestAgainstTupleOracle:
         assert sorted(data.sizes) == sorted(len(k) for k in sympy_group.conjugacy_classes())
 
 
+def transpositions(count, degree):
+    # the disjoint transpositions (0 1), (2 3), ..., one generator each
+    gens = []
+    for i in range(count):
+        g = list(range(degree))
+        g[2 * i], g[2 * i + 1] = 2 * i + 1, 2 * i
+        gens.append(tuple(g))
+    return gens
+
+
+class TestBaseKeys:
+    """PermGroup keys each element by the images of a base."""
+
+    @pytest.mark.parametrize(
+        "generators", [A5_GENERATORS, psl2_generators(7), [(1, 2, 3, 4, 0)]]
+    )
+    def test_row_agreeing_on_the_base_is_not_an_element(self, generators):
+        group = enumerate_group(generators)
+        base = group._index[0]
+        free = [c for c in range(group.degree) if c not in base]
+        assert len(free) >= 2
+        # the base images fix a member, so any other row with them is not one
+        rows = group.elements.copy()
+        rows[:, free[:2]] = rows[:, free[1::-1]]
+        for row in rows:
+            with pytest.raises(ValueError):
+                group.index_of(row[None, :])
+
+    @pytest.mark.parametrize("count, degree, kind", [(14, 28, "V"), (13, 26, "i")])
+    def test_transpositions_against_the_oracle(self, count, degree, kind):
+        # 28^14 >= 2^63 needs the row keys of the base columns; 26^13 packs
+        gens = transpositions(count, degree)
+        group = enumerate_group(gens)
+        base, keys, _ = group._index
+        assert base == list(range(0, 2 * count, 2)) and keys.dtype.kind == kind
+        oracle = perm_oracle.enumerate_group(gens)
+        assert [tuple(x) for x in group.elements.tolist()] == list(oracle.elements)
+        assert conjugacy_classes(group) == perm_oracle.conjugacy_classes(oracle)
+
+    @pytest.mark.parametrize("degree, kind", [(512, "V"), (511, "i")])
+    def test_class_matrices_at_the_packing_limit(self, degree, kind):
+        # seven base points: 512^7 = 2^63 no longer packs, 511^7 does
+        gens = transpositions(7, degree)
+        group = enumerate_group(gens)
+        assert group._index[1].dtype.kind == kind
+        oracle = perm_oracle.enumerate_group(gens)
+        data, class_of, members = conjugacy_classes(group)
+        assert (data, class_of, members) == perm_oracle.conjugacy_classes(oracle)
+        reps = [m[0] for m in members]
+        build = _class_matrix_builder(group, class_of, members, reps)
+        oracle_build = perm_oracle._class_matrix_builder(oracle, class_of, members, reps)
+        for i in range(0, len(members), 9):  # a sample keeps the tuple oracle quick
+            assert build(i) == oracle_build(i)
+
+    @pytest.mark.parametrize("generators", [[()], [(0,)]])
+    def test_trivial_group_has_an_empty_base(self, generators):
+        group = enumerate_group(generators)
+        assert group._index[0] == []
+        assert group.index_of(group.elements).tolist() == [0]
+        assert dixon_table(group, "1").degrees() == (1,)
+
+
 class TestGoldenBytes:
     """print_table output pinned byte for byte.  Columns of equal element
     order and class size keep their class discovery order, so these digests
@@ -164,6 +229,16 @@ class TestGoldenBytes:
                 "L2(13)",
                 psl2_generators(13),
                 "c6e12c0d5ed79d61e0ddcbe6773c11b9666e31b45b66ba8fe90a4ee8e1b66baa",
+            ),
+            (
+                "S8",
+                symmetric_generators(8),
+                "be3d136e89436026519f23cfe0c02d4ca2619596feeb33776530a4f58a064802",
+            ),
+            (
+                "L2(31)",
+                psl2_generators(31),
+                "9344e274a3c97257b164a339de9efdb304b228a57dbb56fdb121294d04a4689c",
             ),
         ],
     )
@@ -221,9 +296,6 @@ def _corrupted_table(generators, name, cls, row, col, delta):
         return mat
 
     return table_from_class_data(name, data, class_matrix)
-
-
-A5_GENERATORS = [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)]
 
 
 class TestCorruptClassData:
